@@ -164,12 +164,6 @@ struct BenchResult {
   /// Rotation-cost results carry the run's key-switch decomposition count
   /// (ExecutionStats::KeySwitchDecompositions); 0 omits the field.
   double Decompositions = 0;
-  /// EVA_PROFILE per-iteration counter deltas (NTT invocations, modular
-  /// multiplies, arena heap bytes); 0 — including every non-profile build —
-  /// omits the fields.
-  double Ntts = 0;
-  double MulMods = 0;
-  double ArenaHeapBytes = 0;
 };
 
 /// Samples \p Fn — a callable reporting its own per-iteration duration in
@@ -297,19 +291,6 @@ public:
       if (R.Decompositions > 0) {
         std::snprintf(Buf, sizeof(Buf), ", \"decompositions\": %.0f",
                       R.Decompositions);
-        Out += Buf;
-      }
-      if (R.Ntts > 0) {
-        std::snprintf(Buf, sizeof(Buf), ", \"ntts\": %.0f", R.Ntts);
-        Out += Buf;
-      }
-      if (R.MulMods > 0) {
-        std::snprintf(Buf, sizeof(Buf), ", \"mulmods\": %.0f", R.MulMods);
-        Out += Buf;
-      }
-      if (R.ArenaHeapBytes > 0) {
-        std::snprintf(Buf, sizeof(Buf), ", \"arena_heap_bytes\": %.0f",
-                      R.ArenaHeapBytes);
         Out += Buf;
       }
       Out += I + 1 == Results.size() ? "}\n" : "},\n";

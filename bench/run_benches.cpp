@@ -28,7 +28,6 @@
 #include "eva/math/NTT.h"
 #include "eva/math/Primes.h"
 #include "eva/math/Simd.h"
-#include "eva/support/Profile.h"
 #include "eva/support/Random.h"
 
 #ifndef EVA_GIT_SHA
@@ -39,20 +38,6 @@ using namespace eva;
 using namespace evabench;
 
 namespace {
-
-/// Attaches the EVA_PROFILE counter deltas of ONE extra invocation of
-/// \p Fn to \p R — per-iteration NTT/mulmod/arena-byte counts alongside the
-/// timing. No-op (fields stay 0 and are omitted) in non-profile builds.
-template <typename FnT> void annotateProfile(BenchResult &R, FnT &&Fn) {
-  if (!profileEnabled())
-    return;
-  ProfileCounters Before = profileSnapshot();
-  Fn();
-  ProfileCounters D = profileDelta(Before, profileSnapshot());
-  R.Ntts = static_cast<double>(D.Ntts);
-  R.MulMods = static_cast<double>(D.MulMods);
-  R.ArenaHeapBytes = static_cast<double>(D.ArenaHeapBytes);
-}
 
 void report(const BenchResult &R) {
   std::printf("  %-28s threads=%zu iters=%-4zu mean=%10.6fs min=%10.6fs",
@@ -79,7 +64,6 @@ JsonReport microBaseline() {
       V = Rng.uniformBelow(Prime);
     auto Body = [&] { T.forward(X); };
     BenchResult R = measure("ntt_forward_n8192", Body);
-    annotateProfile(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -109,7 +93,6 @@ JsonReport microBaseline() {
     Plaintext Tmp;
     auto Body = [&] { Enc.encode(V, std::ldexp(1.0, 40), 4, Tmp); };
     BenchResult R = measure("encode_n8192", Body);
-    annotateProfile(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -119,7 +102,6 @@ JsonReport microBaseline() {
       (void)C;
     };
     BenchResult R = measure("encrypt_n8192", Body);
-    annotateProfile(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -129,7 +111,6 @@ JsonReport microBaseline() {
       (void)C;
     };
     BenchResult R = measure("multiply_n8192", Body);
-    annotateProfile(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -139,7 +120,6 @@ JsonReport microBaseline() {
       (void)C;
     };
     BenchResult R = measure("multiply_relinearize_n8192", Body);
-    annotateProfile(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -149,7 +129,6 @@ JsonReport microBaseline() {
       (void)C;
     };
     BenchResult R = measure("rotate_n8192", Body);
-    annotateProfile(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -217,9 +196,8 @@ JsonReport scalingBaseline() {
 int main(int Argc, char **Argv) {
   std::string OutDir = Argc > 1 ? Argv[1] : ".";
 
-  std::printf("micro baseline (N=8192, simd=%s%s):\n",
-              simdLevelName(activeSimdLevel()),
-              profileEnabled() ? ", profiled" : "");
+  std::printf("micro baseline (N=8192, simd=%s):\n",
+              simdLevelName(activeSimdLevel()));
   JsonReport Micro = microBaseline();
   std::printf("\nfig7 scaling baseline (LeNet-5-small, EVA executor):\n");
   JsonReport Scaling = scalingBaseline();

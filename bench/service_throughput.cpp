@@ -192,8 +192,9 @@ int main(int Argc, char **Argv) {
   std::string OutDir = Argc > 1 ? Argv[1] : ".";
 
   ServiceConfig Config;
-  // Two requests in flight: enough to overlap tenants without measuring
-  // oversubscription on small CI hosts. EVA_BENCH_THREADS raises it.
+  // At most two requests in flight: enough to overlap tenants without
+  // measuring oversubscription on small CI hosts. EVA_BENCH_THREADS=1
+  // lowers it to one; no setting raises it above two.
   Config.Scheduler.Workers = std::min<size_t>(maxThreads(), 2);
   Config.ExecThreadsPerSession = 1;
   Service Svc(Config);

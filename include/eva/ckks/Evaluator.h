@@ -56,9 +56,16 @@ struct EvaluatorCounters {
   uint64_t Rotations = 0;               ///< rotations evaluated (serial + hoisted)
   uint64_t HoistedRotations = 0;        ///< rotations served from a shared decomposition
   uint64_t HoistBatches = 0;            ///< rotateHoisted batches executed
+  /// Forward + inverse NTTs the evaluator ran (key-switch decompose and
+  /// accumulate, rescale mod-down, Galois automorphisms). Plaintext-operand
+  /// encoding (CkksEncoder) is not evaluator work and is not counted.
+  /// Exact and per evaluator, so concurrent runs on separate evaluators
+  /// never mix; modular-multiply totals follow from it and the op counts
+  /// (N/2 * log2 N per NTT plus N per pointwise limb product).
+  uint64_t Ntts = 0;
   // Per-op invocation counts (one per EVA instruction opcode the evaluator
-  // executed); together with the EVA_PROFILE NTT/mulmod totals these locate
-  // the next hot spot by measurement instead of inference.
+  // executed); together with Ntts these locate the next hot spot by
+  // measurement instead of inference.
   uint64_t Adds = 0;             ///< add + addPlain
   uint64_t Subs = 0;             ///< sub + subPlain + subFromPlain
   uint64_t Negates = 0;          ///< negate (standalone, not inside sub)
@@ -173,6 +180,7 @@ private:
   mutable std::atomic<uint64_t> NumRotations{0};
   mutable std::atomic<uint64_t> NumHoistedRotations{0};
   mutable std::atomic<uint64_t> NumHoistBatches{0};
+  mutable std::atomic<uint64_t> NumNtts{0};
   mutable std::atomic<uint64_t> NumAdds{0};
   mutable std::atomic<uint64_t> NumSubs{0};
   mutable std::atomic<uint64_t> NumNegates{0};

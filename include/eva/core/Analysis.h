@@ -20,10 +20,8 @@
 ///  * analyzeProgram — a forward dataflow analyzer computing per-node facts
 ///    (scale bits, consumed-modulus level, plaintext magnitude range,
 ///    multiplicative depth, polynomial count, static noise estimate) in one
-///    traversal, enforcing the paper's Constraints 1-4 along the way. The
-///    legacy validators of Passes.h (validateRescaleChains, validateScales,
-///    validateNumPolynomials, estimateNoise) are thin wrappers over the
-///    phases of this analyzer; the compiler and `evac lint` consume the
+///    traversal, enforcing the paper's Constraints 1-4 along the way. It is
+///    the only validator: the compiler, `evac`, and `evac lint` consume the
 ///    whole AnalysisResult (one fact computation, many consumers).
 ///
 ///  * lintCompiled — a warning pass over the facts with node provenance:
@@ -126,12 +124,10 @@ struct AnalysisOptions {
 /// Per-node dataflow facts, indexed by node id (tables sized maxNodeId()).
 /// Only meaningful entries are written; see each table's sentinel.
 struct AnalysisResult {
-  /// Conforming rescale chains per output (the paper's Definition 3), as
-  /// validateRescaleChains computes.
+  /// Conforming rescale chains per output (the paper's Definition 3).
   RescaleChainInfo Chains;
-  /// Recomputed log2 scale per node (also written onto the nodes, matching
-  /// validateScales' contract). 0 for nodes without a scale (outputs keep
-  /// their desired-scale annotation).
+  /// Recomputed log2 scale per node (also written onto the nodes). 0 for
+  /// nodes without a scale (outputs keep their desired-scale annotation).
   std::vector<double> LogScale;
   /// Consumed-prime count (chain length) per cipher node; -1 for plaintext.
   std::vector<int> Level;
@@ -163,10 +159,9 @@ Expected<ParameterSelection> selectParameters(const Program &P,
 /// Runs the forward dataflow phases over \p P in validation order — rescale
 /// chains (Constraints 1 and 4), scales (Constraint 2), polynomial counts
 /// (Constraint 3), then magnitude/depth/provenance and (optionally) noise —
-/// failing with the same diagnostics as the legacy validators. As a
-/// documented side effect the recomputed scales are written onto the nodes
-/// (validateScales' historical contract, which parameter selection and the
-/// executors rely on).
+/// failing at the first violated constraint. As a documented side effect
+/// the recomputed scales are written onto the nodes (parameter selection
+/// and the executors rely on them).
 Expected<AnalysisResult> analyzeProgram(Program &P,
                                         const AnalysisOptions &O = {});
 

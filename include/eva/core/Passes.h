@@ -143,7 +143,8 @@ void matchScalePass(Program &P);
 void relinearizePass(Program &P);
 
 //===----------------------------------------------------------------------===
-// Validation (Section 6.2) — these never trust the transformer.
+// Validation facts (Section 6.2) — computed by analyzeProgram
+// (eva/core/Analysis.h), which never trusts the transformer.
 //===----------------------------------------------------------------------===
 
 /// Per-output conforming rescale chains; element -1 encodes the paper's
@@ -152,21 +153,6 @@ struct RescaleChainInfo {
   /// Chain (in consumption order) per output, keyed by output list index.
   std::vector<std::vector<int>> OutputChains;
 };
-
-/// Computes conforming rescale chains and checks Constraint 1 (equal
-/// coefficient moduli into ADD/SUB/MULTIPLY) and Constraint 4
-/// (rescale divisor <= s_f). Fails if any chain is non-conforming.
-Expected<RescaleChainInfo> validateRescaleChains(const Program &P,
-                                                 int SfBits);
-
-/// Recomputes scales from the roots and checks Constraint 2 (equal scales
-/// into ADD/SUB, including normalized plaintext operands) plus scale
-/// positivity. Writes the recomputed logScale onto every node.
-Status validateScales(Program &P);
-
-/// Checks Constraint 3: every ciphertext operand of MULTIPLY (and of the
-/// rotations, which key-switch) carries exactly 2 polynomials.
-Status validateNumPolynomials(const Program &P);
 
 //===----------------------------------------------------------------------===
 // Parameter and rotation selection (Section 6.2)
@@ -198,17 +184,14 @@ std::set<uint64_t> selectRotationSteps(const Program &P);
 /// all scale with sqrt(N)). `precisionBits = log2(scale) - noiseBits` is
 /// the number of reliable fractional bits in the decoded output; the
 /// profiling loop of Section 4.1 raises input scales until it clears the
-/// desired output scale.
+/// desired output scale. analyzeProgram fills it when given the selected
+/// polynomial degree (AnalysisOptions::PolyDegree).
 struct NoiseEstimate {
   /// log2 |noise| per output, keyed by output list index.
   std::vector<double> OutputNoiseBits;
   /// log2(scale) - log2 |noise| per output.
   std::vector<double> OutputPrecisionBits;
 };
-
-/// Requires logScale annotations (run validateScales first) and the
-/// selected polynomial degree.
-NoiseEstimate estimateNoise(const Program &P, uint64_t PolyDegree);
 
 } // namespace eva
 

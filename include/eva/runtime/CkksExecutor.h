@@ -45,7 +45,6 @@
 #include "eva/ckks/Evaluator.h"
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/core/Compiler.h"
-#include "eva/support/Profile.h"
 #include "eva/support/ThreadAnnotations.h"
 #include "eva/support/ThreadPool.h"
 
@@ -114,38 +113,13 @@ struct SealedInputs {
   std::map<std::string, std::vector<double>> Plain;
 };
 
-/// Execution statistics: memory reuse (Section 6.1) plus the rotation-cost
-/// counters of the most recent run (key-switch decompositions are the
-/// dominant rotation cost; hoisting shares one across a batch).
-struct ExecutionStats {
+/// Execution statistics of the most recent run: the evaluator's operation
+/// counters (key-switch decompositions are the dominant rotation cost;
+/// hoisting shares one across a batch) plus memory reuse (Section 6.1).
+struct ExecutionStats : EvaluatorCounters {
   size_t PeakLiveBytes = 0;
   size_t TotalNodeCount = 0;
   size_t PeakLiveNodes = 0;
-  /// Key-switch decompositions performed (relinearize + rotations; a
-  /// hoisted batch counts once).
-  size_t KeySwitchDecompositions = 0;
-  /// Non-identity rotations evaluated.
-  size_t Rotations = 0;
-  /// Rotations served from a shared (hoisted) decomposition.
-  size_t HoistedRotations = 0;
-  /// Hoist batches executed.
-  size_t HoistBatches = 0;
-  /// Per-op invocation counts of this run (mirrors EvaluatorCounters).
-  size_t Adds = 0;
-  size_t Subs = 0;
-  size_t Negates = 0;
-  size_t Multiplies = 0;
-  size_t PlainMultiplies = 0;
-  size_t Relinearizations = 0;
-  size_t Rescales = 0;
-  size_t ModSwitches = 0;
-  /// EVA_PROFILE deltas over this run (all zero in non-profile builds).
-  /// Process-global counters snapshotted in beginRun/finishRun, so
-  /// concurrent runs in one process fold into whichever finishes last.
-  uint64_t ProfNtts = 0;
-  uint64_t ProfMulMods = 0;
-  uint64_t ProfArenaAcquires = 0;
-  uint64_t ProfArenaHeapBytes = 0;
 };
 
 class CkksExecutor {
@@ -217,7 +191,7 @@ protected:
   /// Resets statistics and evaluator counters and materializes the hoist
   /// state; every run() implementation calls this first.
   void beginRun();
-  /// Folds the evaluator counters of this run into Stats.
+  /// Copies the evaluator counters of this run into Stats.
   void finishRun();
 
   const CompiledProgram &CP;
@@ -239,8 +213,6 @@ protected:
   mutable std::atomic<size_t> HoistStashBytes{0};
   mutable std::atomic<size_t> HoistStashNodes{0};
   ExecutionStats Stats;
-  /// EVA_PROFILE snapshot taken by beginRun(); finishRun() reports deltas.
-  ProfileCounters ProfileStart;
   /// Leaf lock: serializes Output-node writes into the result map when the
   /// parallel executor retires several output nodes at once. The map itself
   /// is a computeNode parameter, so the guard is the lock contract on that

@@ -16,12 +16,46 @@
 #ifndef EVA_SERIALIZE_WIRE_H
 #define EVA_SERIALIZE_WIRE_H
 
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace eva {
+
+/// Little-endian 8-byte packing: the byte order of proto3 fixed64 fields and
+/// of every packed uint64/double payload in the EVA formats.
+inline void storeLE64(char *Out, uint64_t V) {
+  for (int I = 0; I < 8; ++I)
+    Out[I] = static_cast<char>((V >> (8 * I)) & 0xFF);
+}
+
+inline uint64_t loadLE64(const char *In) {
+  uint64_t V = 0;
+  for (int I = 0; I < 8; ++I)
+    V |= static_cast<uint64_t>(static_cast<uint8_t>(In[I])) << (8 * I);
+  return V;
+}
+
+/// A packed repeated double: the raw little-endian 8-byte values.
+inline std::string packDoubles(const std::vector<double> &Vals) {
+  std::string Raw(Vals.size() * 8, '\0');
+  for (size_t I = 0; I < Vals.size(); ++I)
+    storeLE64(&Raw[I * 8], std::bit_cast<uint64_t>(Vals[I]));
+  return Raw;
+}
+
+/// Appends the doubles of a packed payload to \p Out; false (and \p Out
+/// unchanged) when the payload is not a whole number of values.
+inline bool unpackDoubles(std::string_view Raw, std::vector<double> &Out) {
+  if (Raw.size() % 8 != 0)
+    return false;
+  Out.reserve(Out.size() + Raw.size() / 8);
+  for (size_t I = 0; I < Raw.size(); I += 8)
+    Out.push_back(std::bit_cast<double>(loadLE64(Raw.data() + I)));
+  return true;
+}
 
 enum class WireType : uint8_t {
   Varint = 0,
@@ -51,10 +85,8 @@ public:
 
   void doubleField(uint32_t Field, double V) {
     tag(Field, WireType::Fixed64);
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, 8);
-    for (int I = 0; I < 8; ++I)
-      Buffer.push_back(static_cast<char>((Bits >> (8 * I)) & 0xFF));
+    Buffer.resize(Buffer.size() + 8);
+    storeLE64(&Buffer[Buffer.size() - 8], std::bit_cast<uint64_t>(V));
   }
 
   void bytesField(uint32_t Field, std::string_view Bytes) {
@@ -123,12 +155,8 @@ public:
       Failed = true;
       return false;
     }
-    uint64_t Bits = 0;
-    for (int I = 0; I < 8; ++I)
-      Bits |= static_cast<uint64_t>(static_cast<uint8_t>(Data[Pos + I]))
-              << (8 * I);
+    V = std::bit_cast<double>(loadLE64(Data.data() + Pos));
     Pos += 8;
-    std::memcpy(&V, &Bits, 8);
     return true;
   }
 

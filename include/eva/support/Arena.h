@@ -84,8 +84,9 @@ private:
   size_t Words = 0;
 };
 
-/// Always-on (not EVA_PROFILE-gated) statistics of the calling thread's
-/// arena — cheap per-thread counters the reuse tests assert against.
+/// Always-on statistics of the calling thread's arena — cheap per-thread
+/// counters the reuse tests assert against (CkksTest's steady-state
+/// no-heap-allocation check).
 struct LimbArenaStats {
   uint64_t Acquires = 0;      ///< buffers handed out
   uint64_t Hits = 0;          ///< acquisitions served from the free list

@@ -9,7 +9,6 @@
 #include "eva/ckks/Galois.h"
 #include "eva/math/Simd.h"
 #include "eva/support/Arena.h"
-#include "eva/support/Profile.h"
 #include "eva/support/ThreadPool.h"
 
 #include <algorithm>
@@ -187,6 +186,7 @@ Evaluator::keySwitchDecompose(const RnsPoly &Target) const {
     Ctx->ntt(I).inverse(TCoeff[I]);
   });
   NumDecompositions.fetch_add(1, std::memory_order_relaxed);
+  NumNtts.fetch_add(Count, std::memory_order_relaxed);
   return TCoeff;
 }
 
@@ -232,7 +232,6 @@ std::array<RnsPoly, 2> Evaluator::keySwitchAccumulate(
       const std::vector<uint64_t> &K1 = Key.Keys[I][1].Comps[PrimeIdx];
       simd::fusedMulAcc128(Tmp.data(), K0.data(), K1.data(), Lo0.data(),
                            Hi0.data(), Lo1.data(), Hi1.data(), N);
-      EVA_PROF_ADD(MulMods, 2 * N);
     }
     for (uint64_t X = 0; X < N; ++X) {
       Acc[0].Comps[R][X] =
@@ -240,8 +239,9 @@ std::array<RnsPoly, 2> Evaluator::keySwitchAccumulate(
       Acc[1].Comps[R][X] =
           Qr.reduce128((Uint128(Hi1[X]) << 64) | Lo1[X]);
     }
-    EVA_PROF_ADD(MulMods, 2 * N);
   });
+  // Every digit went forward once at every output prime.
+  NumNtts.fetch_add(OutIdx.size() * Count, std::memory_order_relaxed);
 
   // Divide by the special prime (rounding) to return to the data chain.
   std::vector<size_t> DownIdx = OutIdx;
@@ -266,6 +266,7 @@ void Evaluator::divideRoundDropLast(
 
   std::vector<uint64_t> Last = std::move(Comps[K - 1]);
   Ctx->ntt(DivIdx).inverse(Last);
+  NumNtts.fetch_add(K, std::memory_order_relaxed); // + K - 1 forward below
   for (uint64_t &V : Last)
     V = addMod(V, Half, Qd);
 
@@ -286,7 +287,6 @@ void Evaluator::divideRoundDropLast(
     std::vector<uint64_t> &C = Comps[T];
     for (uint64_t X = 0; X < N; ++X)
       C[X] = mulModShoup(subMod(C[X], Tmp[X], Qt), Inv, Qt);
-    EVA_PROF_ADD(MulMods, N);
   });
   Comps.pop_back();
 }
@@ -367,6 +367,8 @@ Ciphertext Evaluator::rotateLeft(const Ciphertext &A, uint64_t Steps,
                                   /*SpansSpecialPrime=*/false, Pool);
   RnsPoly C1 = applyGaloisNttPoly(*Ctx, A.Polys[1], G,
                                   /*SpansSpecialPrime=*/false, Pool);
+  // Two automorphisms, each round-tripping every limb (inverse + forward).
+  NumNtts.fetch_add(4 * A.primeCount(), std::memory_order_relaxed);
   std::array<RnsPoly, 2> Ks = keySwitch(C1, Keys.at(G));
   NumRotations.fetch_add(1, std::memory_order_relaxed);
   return assembleRotation(std::move(C0), std::move(Ks), A.Scale);
@@ -410,6 +412,7 @@ Evaluator::rotateHoisted(const Ciphertext &A,
 
     RnsPoly C0 = applyGaloisNttPoly(*Ctx, A.Polys[0], G,
                                     /*SpansSpecialPrime=*/false, Pool);
+    NumNtts.fetch_add(2 * Count, std::memory_order_relaxed);
     forEachLimb(Count, [&](size_t I) {
       Permuted[I].resize(N);
       applyGaloisComp(Digits[I], Permuted[I], G, N, Ctx->prime(I));
@@ -424,7 +427,7 @@ Evaluator::rotateHoisted(const Ciphertext &A,
 
 void Evaluator::resetCounters() const {
   for (auto *C : {&NumDecompositions, &NumRotations, &NumHoistedRotations,
-                  &NumHoistBatches, &NumAdds, &NumSubs, &NumNegates,
+                  &NumHoistBatches, &NumNtts, &NumAdds, &NumSubs, &NumNegates,
                   &NumMultiplies, &NumPlainMultiplies, &NumRelinearizations,
                   &NumRescales, &NumModSwitches})
     C->store(0, std::memory_order_relaxed);
@@ -437,6 +440,7 @@ EvaluatorCounters Evaluator::counters() const {
   C.Rotations = NumRotations.load(std::memory_order_relaxed);
   C.HoistedRotations = NumHoistedRotations.load(std::memory_order_relaxed);
   C.HoistBatches = NumHoistBatches.load(std::memory_order_relaxed);
+  C.Ntts = NumNtts.load(std::memory_order_relaxed);
   C.Adds = NumAdds.load(std::memory_order_relaxed);
   C.Subs = NumSubs.load(std::memory_order_relaxed);
   C.Negates = NumNegates.load(std::memory_order_relaxed);

@@ -6,12 +6,11 @@
 ///
 /// \file
 /// The dataflow half of the analysis subsystem: one forward engine computes
-/// every per-node fact the compiler, the validators, and `evac lint`
-/// consume. The phases run in the historical validation order of Section
-/// 6.2 — rescale chains (Constraints 1 and 4), scales (Constraint 2),
-/// polynomial counts (Constraint 3), then magnitude/depth/provenance and
-/// the noise model — so the diagnostics are byte-identical to the legacy
-/// validators, which remain as thin wrappers over individual phases. Each
+/// every per-node fact the compiler, `evac`, and `evac lint` consume. The
+/// phases run in the validation order of Section 6.2 — rescale chains
+/// (Constraints 1 and 4), scales (Constraint 2), polynomial counts
+/// (Constraint 3), then magnitude/depth/provenance and the noise model —
+/// so a program violating several constraints reports the first. Each
 /// phase re-derives its facts from the transformed graph alone (never
 /// trusting the transformation passes); the paper's "eliminates all common
 /// runtime exceptions" claim rests on these checks being complete.
@@ -235,8 +234,8 @@ Status computeNumPolys(const Program &P, std::vector<int> *Facts) {
 }
 
 /// Noise phase: log2 |noise| per node under the standard CKKS model.
-/// Requires logScale annotations on the nodes (the scale phase, or
-/// historically validateScales, must have run).
+/// Requires logScale annotations on the nodes (the scale phase must have
+/// run).
 NoiseEstimate computeNoise(const Program &P, uint64_t PolyDegree,
                            std::vector<double> *Facts) {
   const double LogN = std::log2(static_cast<double>(PolyDegree));
@@ -324,31 +323,6 @@ NoiseEstimate computeNoise(const Program &P, uint64_t PolyDegree,
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===
-// Legacy validator entry points (Passes.h) — wrappers over the phases.
-//===----------------------------------------------------------------------===
-
-Expected<RescaleChainInfo> eva::validateRescaleChains(const Program &P,
-                                                      int SfBits) {
-  using Result = Expected<RescaleChainInfo>;
-  std::vector<std::vector<int>> Chains;
-  std::vector<char> HasChain;
-  RescaleChainInfo Info;
-  if (Status S = computeChains(P, SfBits, Chains, HasChain, Info); !S.ok())
-    return Result(S);
-  return Info;
-}
-
-Status eva::validateScales(Program &P) { return computeScales(P, nullptr); }
-
-Status eva::validateNumPolynomials(const Program &P) {
-  return computeNumPolys(P, nullptr);
-}
-
-NoiseEstimate eva::estimateNoise(const Program &P, uint64_t PolyDegree) {
-  return computeNoise(P, PolyDegree, nullptr);
-}
 
 Expected<ParameterSelection> eva::selectParameters(const Program &P,
                                                    const AnalysisResult &AR,

@@ -170,7 +170,6 @@ uint64_t CkksExecutor::normalizedLeftSteps(const Node *N) const {
 void CkksExecutor::beginRun() {
   Stats = ExecutionStats();
   Stats.TotalNodeCount = P.nodeCount();
-  ProfileStart = profileSnapshot();
   ActiveEval->resetCounters();
   HoistStashBytes.store(0);
   HoistStashNodes.store(0);
@@ -181,24 +180,7 @@ void CkksExecutor::beginRun() {
 }
 
 void CkksExecutor::finishRun() {
-  EvaluatorCounters C = ActiveEval->counters();
-  Stats.KeySwitchDecompositions = C.KeySwitchDecompositions;
-  Stats.Rotations = C.Rotations;
-  Stats.HoistedRotations = C.HoistedRotations;
-  Stats.HoistBatches = C.HoistBatches;
-  Stats.Adds = C.Adds;
-  Stats.Subs = C.Subs;
-  Stats.Negates = C.Negates;
-  Stats.Multiplies = C.Multiplies;
-  Stats.PlainMultiplies = C.PlainMultiplies;
-  Stats.Relinearizations = C.Relinearizations;
-  Stats.Rescales = C.Rescales;
-  Stats.ModSwitches = C.ModSwitches;
-  ProfileCounters D = profileDelta(ProfileStart, profileSnapshot());
-  Stats.ProfNtts = D.Ntts;
-  Stats.ProfMulMods = D.MulMods;
-  Stats.ProfArenaAcquires = D.ArenaAcquires;
-  Stats.ProfArenaHeapBytes = D.ArenaHeapBytes;
+  static_cast<EvaluatorCounters &>(Stats) = ActiveEval->counters();
   HoistState.clear();
 }
 

@@ -10,29 +10,10 @@
 #include "eva/serialize/Wire.h"
 
 #include <cmath>
-#include <cstring>
 
 using namespace eva;
 
 namespace {
-
-void appendRawU64(std::string &Out, const std::vector<uint64_t> &Vals) {
-  size_t Base = Out.size();
-  Out.resize(Base + Vals.size() * 8);
-  for (size_t I = 0; I < Vals.size(); ++I) {
-    uint64_t V = Vals[I];
-    for (int B = 0; B < 8; ++B)
-      Out[Base + I * 8 + B] = static_cast<char>((V >> (8 * B)) & 0xFF);
-  }
-}
-
-uint64_t readRawU64(std::string_view Raw, size_t I) {
-  uint64_t V = 0;
-  for (int B = 0; B < 8; ++B)
-    V |= static_cast<uint64_t>(static_cast<uint8_t>(Raw[I * 8 + B]))
-         << (8 * B);
-  return V;
-}
 
 void writePoly(WireWriter &W, uint32_t Field, const RnsPoly &P) {
   W.bytesField(Field, serializeRnsPoly(P));
@@ -86,7 +67,7 @@ Expected<RnsPoly> parsePoly(const CkksContext &Ctx, std::string_view Data,
                            " has wrong size");
     uint64_t Q = Ctx.prime(C).value();
     for (uint64_t I = 0; I < Degree; ++I) {
-      uint64_t V = readRawU64(RawComps[C], I);
+      uint64_t V = loadLE64(RawComps[C].data() + I * 8);
       // Arithmetic kernels assume reduced residues; an out-of-range value
       // from a hostile client must be rejected, not computed with.
       if (V >= Q)
@@ -186,8 +167,9 @@ std::string eva::serializeRnsPoly(const RnsPoly &P) {
   PW.varintField(1, P.Degree);
   PW.varintField(2, P.primeCount());
   for (const std::vector<uint64_t> &Comp : P.Comps) {
-    std::string Raw;
-    appendRawU64(Raw, Comp);
+    std::string Raw(Comp.size() * 8, '\0');
+    for (size_t I = 0; I < Comp.size(); ++I)
+      storeLE64(&Raw[I * 8], Comp[I]);
     PW.bytesField(3, Raw);
   }
   return PW.take();

@@ -147,18 +147,7 @@ std::string eva::serializeProgram(const Program &P) {
                                                     : PT_VECTOR_CONST);
     C.doubleField(3, N->logScale());
     WireWriter Vec;
-    {
-      // Packed repeated double: one length-delimited field of raw
-      // little-endian 8-byte values.
-      std::string Raw;
-      for (double D : N->constValue()) {
-        uint64_t Bits;
-        std::memcpy(&Bits, &D, 8);
-        for (int I = 0; I < 8; ++I)
-          Raw.push_back(static_cast<char>((Bits >> (8 * I)) & 0xFF));
-      }
-      Vec.bytesField(1, Raw);
-    }
+    Vec.bytesField(1, packDoubles(N->constValue()));
     C.bytesField(4, Vec.str());
     W.bytesField(2, C.str());
   }
@@ -300,18 +289,8 @@ eva::deserializeProgram(std::string_view Data) {
           while (VR.nextField(VF, VT)) {
             if (VF == 1 && VT == WireType::LengthDelimited) {
               std::string_view Raw;
-              if (!VR.readBytes(Raw) || Raw.size() % 8 != 0)
+              if (!VR.readBytes(Raw) || !unpackDoubles(Raw, C.Values))
                 return Result::error("malformed packed doubles");
-              for (size_t I = 0; I < Raw.size(); I += 8) {
-                uint64_t Bits = 0;
-                for (int K = 0; K < 8; ++K)
-                  Bits |= static_cast<uint64_t>(
-                              static_cast<uint8_t>(Raw[I + K]))
-                          << (8 * K);
-                double D;
-                std::memcpy(&D, &Bits, 8);
-                C.Values.push_back(D);
-              }
             } else if (!VR.skip(VT)) {
               return Result::error("malformed vector field");
             }

@@ -8,12 +8,12 @@
 
 #include "eva/runtime/CkksExecutor.h"
 #include "eva/serialize/CkksIO.h"
+#include "eva/serialize/Wire.h"
 #include "eva/service/ProgramRegistry.h"
 
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstring>
 
 using namespace eva;
 
@@ -41,19 +41,6 @@ uint64_t hashEntry(char Tag, std::string_view Name, std::string_view Payload,
   State = fnv1a64(std::string_view(&Tag, 1), State);
   State = hashLenPrefixed(Name, State);
   return hashLenPrefixed(Payload, State);
-}
-
-/// Plain inputs hash as the LE 8-byte doubles they occupy on the wire
-/// (NamedPlain.values), so the hash covers the exact transmitted bytes.
-std::string packDoubles(const std::vector<double> &Vals) {
-  std::string Raw(Vals.size() * 8, '\0');
-  for (size_t I = 0; I < Vals.size(); ++I) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &Vals[I], 8);
-    for (int B = 0; B < 8; ++B)
-      Raw[I * 8 + B] = static_cast<char>((Bits >> (8 * B)) & 0xFF);
-  }
-  return Raw;
 }
 
 template <typename PayloadFn, typename Vec>

@@ -8,7 +8,6 @@
 
 #include "eva/serialize/Wire.h"
 
-#include <cstring>
 
 using namespace eva;
 
@@ -66,31 +65,6 @@ Expected<uint64_t> deserializeIdMsg(std::string_view Data, const char *What) {
   if (R.failed())
     return Result::error(std::string("truncated ") + What);
   return Id;
-}
-
-std::string packDoubles(const std::vector<double> &Vals) {
-  std::string Raw(Vals.size() * 8, '\0');
-  for (size_t I = 0; I < Vals.size(); ++I) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &Vals[I], 8);
-    for (int B = 0; B < 8; ++B)
-      Raw[I * 8 + B] = static_cast<char>((Bits >> (8 * B)) & 0xFF);
-  }
-  return Raw;
-}
-
-bool unpackDoubles(std::string_view Raw, std::vector<double> &Out) {
-  if (Raw.size() % 8 != 0)
-    return false;
-  Out.resize(Raw.size() / 8);
-  for (size_t I = 0; I < Out.size(); ++I) {
-    uint64_t Bits = 0;
-    for (int B = 0; B < 8; ++B)
-      Bits |= static_cast<uint64_t>(static_cast<uint8_t>(Raw[I * 8 + B]))
-              << (8 * B);
-    std::memcpy(&Out[I], &Bits, 8);
-  }
-  return true;
 }
 
 /// NamedCipher / NamedPlain: { string name = 1; bytes payload = 2; }

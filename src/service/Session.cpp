@@ -74,8 +74,7 @@ Session::execute(SealedInputs Inputs, TraceContext *Trace) {
         ->latencyHistogram(labeledMetric("eva_compute_seconds", "program",
                                          Prog->Signature.ProgramName))
         .observe(ExecuteSeconds);
-    // Roll the executor's per-run stats up into fleet totals: the same
-    // counters EVA_PROFILE exposes in-process become scrapeable.
+    // Roll the executor's per-run stats up into fleet totals.
     if (const ExecutionStats *ES = Exec->executionStats()) {
       Metrics->counter("eva_exec_rotations_total").add(ES->Rotations);
       Metrics->counter("eva_exec_hoisted_rotations_total")
@@ -88,16 +87,7 @@ Session::execute(SealedInputs Inputs, TraceContext *Trace) {
           .add(ES->Relinearizations);
       Metrics->counter("eva_exec_rescales_total")
           .add(ES->Rescales + ES->ModSwitches);
-      if (ES->ProfNtts)
-        Metrics->counter("eva_prof_ntts_total").add(ES->ProfNtts);
-      if (ES->ProfMulMods)
-        Metrics->counter("eva_prof_mulmods_total").add(ES->ProfMulMods);
-      if (ES->ProfArenaAcquires)
-        Metrics->counter("eva_prof_arena_acquires_total")
-            .add(ES->ProfArenaAcquires);
-      if (ES->ProfArenaHeapBytes)
-        Metrics->counter("eva_prof_arena_heap_bytes_total")
-            .add(ES->ProfArenaHeapBytes);
+      Metrics->counter("eva_exec_ntts_total").add(ES->Ntts);
     }
   }
   if (!Out)

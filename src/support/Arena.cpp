@@ -6,8 +6,6 @@
 
 #include "eva/support/Arena.h"
 
-#include "eva/support/Profile.h"
-
 #include <algorithm>
 #include <array>
 #include <bit>
@@ -41,7 +39,6 @@ size_t bucketFor(size_t Words) {
 LimbScratch eva::acquireLimbScratch(size_t Words) {
   ArenaState &S = state();
   ++S.Stats.Acquires;
-  EVA_PROF_ADD(ArenaAcquires, 1);
   size_t B = bucketFor(Words);
   size_t ClassWords = size_t(1) << B;
   auto &Bucket = S.Buckets[B];
@@ -55,7 +52,6 @@ LimbScratch eva::acquireLimbScratch(size_t Words) {
   }
   ++S.Stats.HeapAllocations;
   S.Stats.HeapBytes += ClassWords * sizeof(uint64_t);
-  EVA_PROF_ADD(ArenaHeapBytes, ClassWords * sizeof(uint64_t));
   return LimbScratch(std::vector<uint64_t>(ClassWords), Words);
 }
 

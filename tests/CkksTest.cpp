@@ -12,6 +12,7 @@
 #include "eva/ckks/Galois.h"
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/math/Primes.h"
+#include "eva/support/Arena.h"
 #include "eva/support/Random.h"
 
 #include <gtest/gtest.h>
@@ -366,6 +367,86 @@ TEST_F(CkksFixture, RotateHoistedMatchesCyclicShiftAtLowerLevel) {
     EXPECT_NEAR(A[I], In[(I + 3) % 2048], 1e-5) << "slot " << I;
     EXPECT_NEAR(B[I], In[(I + 300) % 2048], 1e-5) << "slot " << I;
   }
+}
+
+// NTT counts per op at L data primes. Key switching extends every digit to
+// the special prime as well, so its accumulate phase runs over L + 1 primes.
+uint64_t decomposeNtts(uint64_t L) { return L; } // one inverse per digit
+uint64_t accumulateNtts(uint64_t L) {
+  return L * (L + 1)    // every digit forward at every output prime
+         + 2 * (L + 1); // two mod-downs by the special prime
+}
+uint64_t keySwitchNtts(uint64_t L) {
+  return decomposeNtts(L) + accumulateNtts(L);
+}
+uint64_t rescaleNtts(uint64_t L) { return 2 * L; } // one mod-down per poly
+uint64_t rotateNtts(uint64_t L) {
+  return 4 * L + keySwitchNtts(L); // two automorphisms (c0, c1) + key switch
+}
+uint64_t hoistedNtts(uint64_t L, uint64_t S) {
+  // One shared decomposition; per rotation, the c0 automorphism and an
+  // accumulate phase.
+  return decomposeNtts(L) + S * (2 * L + accumulateNtts(L));
+}
+
+TEST_F(CkksFixture, NttCountsMatchClosedForms) {
+  RelinKeys Rk = Gen->createRelinKeys();
+  std::vector<uint64_t> Steps = {1, 5, 37};
+  GaloisKeys Gk = Gen->createGaloisKeys({1, 5, 37});
+  Ciphertext Top =
+      encryptVec(randomVector(2048, -1.0, 1.0, 91), std::ldexp(1.0, 40), 3);
+  // Two prime counts: the full data chain and one modswitched level.
+  for (Ciphertext Ct : {Top, Eval->modSwitch(Top)}) {
+    uint64_t L = Ct.primeCount();
+    auto NttsOf = [&](auto &&Op) {
+      Eval->resetCounters();
+      Op();
+      return Eval->counters().Ntts;
+    };
+    EXPECT_EQ(NttsOf([&] { Eval->rescale(Ct); }), rescaleNtts(L))
+        << "L=" << L;
+    Ciphertext Prod = Eval->multiply(Ct, Ct);
+    EXPECT_EQ(NttsOf([&] { Eval->relinearize(Prod, Rk); }), keySwitchNtts(L))
+        << "L=" << L;
+    EXPECT_EQ(NttsOf([&] { Eval->rotateLeft(Ct, 5, Gk); }), rotateNtts(L))
+        << "L=" << L;
+    uint64_t Hoisted = NttsOf([&] { Eval->rotateHoisted(Ct, Steps, Gk); });
+    EXPECT_EQ(Hoisted, hoistedNtts(L, Steps.size())) << "L=" << L;
+    uint64_t Serial = NttsOf([&] {
+      for (uint64_t S : Steps)
+        Eval->rotateLeft(Ct, S, Gk);
+    });
+    EXPECT_EQ(Serial, Steps.size() * rotateNtts(L)) << "L=" << L;
+    EXPECT_LT(Hoisted, Serial) << "L=" << L;
+    // Work without NTTs counts none.
+    EXPECT_EQ(NttsOf([&] {
+                Eval->add(Ct, Ct);
+                Eval->multiply(Ct, Ct);
+                Eval->modSwitch(Ct);
+              }),
+              0u);
+  }
+}
+
+TEST_F(CkksFixture, SteadyStateOpsServeScratchFromTheArena) {
+  // A pool-less evaluator runs every limb on this thread, so this thread's
+  // arena sees all scratch traffic. After one warm-up pass, a second pass
+  // of the same ops must be served entirely from the free lists.
+  RelinKeys Rk = Gen->createRelinKeys();
+  GaloisKeys Gk = Gen->createGaloisKeys({1});
+  Ciphertext Ct =
+      encryptVec(randomVector(2048, -1.0, 1.0, 93), std::ldexp(1.0, 40), 3);
+  auto Pass = [&] {
+    Ciphertext P = Eval->rescale(Eval->relinearize(Eval->multiply(Ct, Ct), Rk));
+    return Eval->rotateLeft(P, 1, Gk);
+  };
+  Pass();
+  LimbArenaStats Before = limbArenaStats();
+  Pass();
+  LimbArenaStats After = limbArenaStats();
+  EXPECT_GT(After.Acquires - Before.Acquires, 0u);
+  EXPECT_EQ(After.HeapAllocations - Before.HeapAllocations, 0u);
+  EXPECT_EQ(After.Hits - Before.Hits, After.Acquires - Before.Acquires);
 }
 
 TEST(Galois, EltFromStepMatchesPowersOfFive) {

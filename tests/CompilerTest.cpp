@@ -11,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "eva/core/Analysis.h"
 #include "eva/core/Compiler.h"
 #include "eva/frontend/Expr.h"
 #include "eva/ir/Printer.h"
@@ -144,8 +145,9 @@ TEST(MatchScale, NormalizesPlainOperandWithoutMultiply) {
   EXPECT_EQ(countOps(*P, OpCode::Multiply), 1u);
   EXPECT_EQ(countOps(*P, OpCode::NormalizeScale), 1u);
   for (const Node *N : P->nodes())
-    if (N->op() == OpCode::NormalizeScale)
+    if (N->op() == OpCode::NormalizeScale) {
       EXPECT_NEAR(N->logScale(), 60.0, 1e-9);
+    }
 }
 
 TEST(Relinearize, OnlyAfterCipherCipherMultiply) {
@@ -182,13 +184,11 @@ TEST(Relinearize, PlacedBeforeRescale) {
 TEST(Validation, AcceptsCompiledAndRejectsRaw) {
   std::unique_ptr<Program> Raw = makeX2Y3();
   // The raw program has no relinearization: Constraint 3 must fail.
-  EXPECT_FALSE(validateNumPolynomials(*Raw).ok());
+  EXPECT_FALSE(analyzeProgram(*Raw).ok());
 
   Expected<CompiledProgram> CP = compile(*Raw);
   ASSERT_TRUE(CP.ok()) << (CP.ok() ? "" : CP.message());
-  EXPECT_TRUE(validateNumPolynomials(*CP->Prog).ok());
-  EXPECT_TRUE(validateScales(*CP->Prog).ok());
-  EXPECT_TRUE(validateRescaleChains(*CP->Prog, 60).ok());
+  EXPECT_TRUE(analyzeProgram(*CP->Prog).ok());
 }
 
 TEST(Validation, CatchesMismatchedScalesOnAdd) {
@@ -197,7 +197,7 @@ TEST(Validation, CatchesMismatchedScalesOnAdd) {
   Expr Y = B.inputCipher("y", 40);
   B.output("out", X + Y, 30);
   std::unique_ptr<Program> P = B.take();
-  Status S = validateScales(*P);
+  Expected<AnalysisResult> S = analyzeProgram(*P);
   EXPECT_FALSE(S.ok());
   EXPECT_NE(S.message().find("Constraint 2"), std::string::npos);
 }
@@ -212,7 +212,7 @@ TEST(Validation, CatchesNonConformingChains) {
   B->setRescaleBits(40);
   Node *M = P.makeInstruction(OpCode::Multiply, {A, B});
   P.makeOutput("out", M);
-  Expected<RescaleChainInfo> R = validateRescaleChains(P, 60);
+  Expected<AnalysisResult> R = analyzeProgram(P);
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.message().find("non-conforming"), std::string::npos);
 }
@@ -223,7 +223,7 @@ TEST(Validation, CatchesLevelMismatch) {
   Node *A = P.makeInstruction(OpCode::ModSwitch, {X});
   Node *M = P.makeInstruction(OpCode::Multiply, {A, X});
   P.makeOutput("out", M);
-  Expected<RescaleChainInfo> R = validateRescaleChains(P, 60);
+  Expected<AnalysisResult> R = analyzeProgram(P);
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.message().find("Constraint 1"), std::string::npos);
 }
@@ -234,7 +234,7 @@ TEST(Validation, CatchesOversizedRescale) {
   Node *A = P.makeInstruction(OpCode::Rescale, {X});
   A->setRescaleBits(61);
   P.makeOutput("out", A);
-  Expected<RescaleChainInfo> R = validateRescaleChains(P, 60);
+  Expected<AnalysisResult> R = analyzeProgram(P);
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.message().find("Constraint 4"), std::string::npos);
 }
@@ -262,11 +262,11 @@ TEST(ParamSelection, Section53OptimalityFormula) {
   Expected<CompiledProgram> CP = compile(*P);
   ASSERT_TRUE(CP.ok());
   // Recompute the formula from the compiled graph.
-  Expected<RescaleChainInfo> Chains = validateRescaleChains(*CP->Prog, 60);
-  ASSERT_TRUE(Chains.ok());
+  Expected<AnalysisResult> AR = analyzeProgram(*CP->Prog);
+  ASSERT_TRUE(AR.ok());
   const Node *Out = CP->Prog->outputs()[0];
   double SPrime = Out->parm(0)->logScale() + Out->logScale();
-  size_t Want = 1 + Chains->OutputChains[0].size() +
+  size_t Want = 1 + AR->Chains.OutputChains[0].size() +
                 static_cast<size_t>(std::ceil(SPrime / 60.0));
   EXPECT_EQ(CP->modulusLength(), Want);
 }

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "eva/core/Analysis.h"
 #include "eva/ckks/Decryptor.h"
 #include "eva/ckks/Encoder.h"
 #include "eva/ckks/Encryptor.h"
@@ -203,8 +204,7 @@ TEST(CompilerEdge, SharedSubgraphAcrossOutputsKeepsChainsConforming) {
   B.output("shallow", Common + X.pow(4), 30); // reuses Common via CSE
   Expected<CompiledProgram> CP = compile(B.program());
   ASSERT_TRUE(CP.ok()) << CP.message();
-  Expected<RescaleChainInfo> Chains = validateRescaleChains(*CP->Prog, 60);
-  ASSERT_TRUE(Chains.ok());
+  ASSERT_TRUE(analyzeProgram(*CP->Prog).ok());
   // Reference semantics still hold.
   ReferenceExecutor Ref(B.program()), RefC(*CP->Prog);
   std::map<std::string, std::vector<double>> In = {

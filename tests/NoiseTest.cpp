@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "eva/core/Analysis.h"
 #include "eva/core/Compiler.h"
 #include "eva/frontend/Expr.h"
 #include "eva/runtime/CkksExecutor.h"
@@ -20,7 +21,7 @@ using namespace eva;
 namespace {
 
 NoiseEstimate estimateFor(const CompiledProgram &CP) {
-  return estimateNoise(*CP.Prog, CP.PolyDegree);
+  return analyzeProgram(*CP.Prog, {60, CP.PolyDegree}).value().OutputNoise;
 }
 
 TEST(NoiseEstimate, DeeperProgramsAreNoisier) {
@@ -30,8 +31,7 @@ TEST(NoiseEstimate, DeeperProgramsAreNoisier) {
     B.output("out", X.pow(K), 30);
     Expected<CompiledProgram> CP = compile(B.program());
     EXPECT_TRUE(CP.ok());
-    NoiseEstimate E = estimateNoise(*CP->Prog, CP->PolyDegree);
-    return E.OutputPrecisionBits[0];
+    return estimateFor(*CP).OutputPrecisionBits[0];
   };
   double P2 = PrecisionOfPow(2);
   double P8 = PrecisionOfPow(8);
@@ -48,7 +48,7 @@ TEST(NoiseEstimate, HigherScalesBuyPrecision) {
     B.output("out", (X * X) * (X << 3), 30);
     Expected<CompiledProgram> CP = compile(B.program());
     EXPECT_TRUE(CP.ok());
-    return estimateNoise(*CP->Prog, CP->PolyDegree).OutputPrecisionBits[0];
+    return estimateFor(*CP).OutputPrecisionBits[0];
   };
   EXPECT_GT(PrecisionAt(40), PrecisionAt(30));
   EXPECT_GT(PrecisionAt(50), PrecisionAt(40));
@@ -65,7 +65,7 @@ TEST(NoiseEstimate, RotationsCostKeySwitchNoise) {
     B.output("out", V, 30);
     Expected<CompiledProgram> CP = compile(B.program());
     EXPECT_TRUE(CP.ok());
-    return estimateNoise(*CP->Prog, CP->PolyDegree).OutputPrecisionBits[0];
+    return estimateFor(*CP).OutputPrecisionBits[0];
   };
   EXPECT_GT(Precision(false), Precision(true));
 }
@@ -80,8 +80,7 @@ TEST(NoiseEstimate, BoundsObservedErrorOnRealExecution) {
   Program &P = B.program();
   Expected<CompiledProgram> CP = compile(P);
   ASSERT_TRUE(CP.ok());
-  NoiseEstimate E = estimateNoise(*CP->Prog, CP->PolyDegree);
-  double Precision = E.OutputPrecisionBits[0];
+  double Precision = estimateFor(*CP).OutputPrecisionBits[0];
   ASSERT_GT(Precision, 4);
 
   Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 3);

@@ -70,8 +70,9 @@ TEST(Cse, ChainedRotationsFold) {
   EXPECT_GE(N, 1u);
   EXPECT_EQ(countOps(B.program(), OpCode::RotateLeft), 1u);
   for (const Node *R : B.program().nodes())
-    if (R->op() == OpCode::RotateLeft)
+    if (R->op() == OpCode::RotateLeft) {
       EXPECT_EQ(R->rotation(), 8);
+    }
   EXPECT_TRUE(B.program().verifyStructure().ok());
 }
 
@@ -83,8 +84,9 @@ TEST(Cse, ChainedRotationWraparoundFolds) {
   cseAndSimplifyPass(B.program());
   EXPECT_EQ(countOps(B.program(), OpCode::RotateLeft), 1u);
   for (const Node *R : B.program().nodes())
-    if (R->op() == OpCode::RotateLeft)
+    if (R->op() == OpCode::RotateLeft) {
       EXPECT_EQ(R->rotation(), 3);
+    }
 }
 
 TEST(Cse, ChainedRotationCancellationVanishes) {

@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "eva/core/Analysis.h"
 #include "eva/api/Runner.h"
 #include "eva/ckks/Decryptor.h"
 #include "eva/ckks/Encoder.h"
@@ -139,10 +140,10 @@ TEST_P(CompileFuzz, AllModesValidateAndPreserveSemantics) {
     Expected<CompiledProgram> CP = compile(*P, O);
     ASSERT_TRUE(CP.ok()) << "seed " << Seed << " mode " << Mode << ": "
                          << CP.message();
-    // Validators are clean (re-run them explicitly).
-    EXPECT_TRUE(validateRescaleChains(*CP->Prog, O.SfBits).ok());
-    EXPECT_TRUE(validateScales(*CP->Prog).ok());
-    EXPECT_TRUE(validateNumPolynomials(*CP->Prog).ok());
+    // The analyzer re-checks Constraints 1-4 on the output explicitly.
+    AnalysisOptions AO;
+    AO.SfBits = O.SfBits;
+    EXPECT_TRUE(analyzeProgram(*CP->Prog, AO).ok());
     EXPECT_TRUE(CP->Prog->verifyStructure().ok());
     // Semantics preserved under the id scheme.
     ReferenceExecutor RefC(*CP->Prog);

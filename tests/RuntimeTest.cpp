@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "eva/api/Runner.h"
 #include "eva/frontend/Expr.h"
 #include "eva/ir/Printer.h"
 #include "eva/runtime/CkksExecutor.h"
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 using namespace eva;
 
@@ -263,6 +265,65 @@ TEST(EndToEnd, AllExecutorsProduceIdenticalOutputsOnMultiKernelProgram) {
   EXPECT_LE(Parallel.stats().PeakLiveNodes,
             Parallel.stats().TotalNodeCount);
   EXPECT_GT(Parallel.stats().PeakLiveBytes, 0u);
+
+  // NTT counts are exact per evaluator, so scheduling cannot change them.
+  EXPECT_GT(Serial.stats().Ntts, 0u);
+  EXPECT_EQ(Parallel.stats().Ntts, Serial.stats().Ntts);
+  EXPECT_EQ(Bulk.stats().Ntts, Serial.stats().Ntts);
+}
+
+TEST(EndToEnd, ConcurrentRunnersReportExactSoloNtts) {
+  // Two local runners on separate workspaces run concurrently; each must
+  // report exactly the NTT count of its solo run every time. A
+  // process-wide counter would fold the other runner's work into it.
+  ProgramBuilder BA("rotsum", 64);
+  Expr X = BA.inputCipher("x", 30);
+  Expr Sum = X;
+  for (int I = 1; I < 64; I *= 2)
+    Sum = Sum + (Sum << I);
+  BA.output("out", Sum * X, 30);
+  ProgramBuilder BB("cube", 64);
+  Expr Y = BB.inputCipher("x", 30);
+  BB.output("out", Y * Y * Y, 30);
+
+  constexpr size_t Runs = 16;
+  struct Lane {
+    std::unique_ptr<Runner> R;
+    uint64_t Solo = 0;
+    std::vector<uint64_t> Seen;
+  };
+  Lane Lanes[2];
+  Valuation In = Valuation().set("x", std::vector<double>(64, 0.5));
+  for (size_t I = 0; I < 2; ++I) {
+    Expected<CompiledProgram> CP = compile(I == 0 ? BA.program()
+                                                  : BB.program());
+    ASSERT_TRUE(CP.ok()) << CP.message();
+    LocalRunnerOptions Opts;
+    Opts.Seed = I + 1;
+    Opts.Threads = I + 1; // one serial, one parallel-DAG runner
+    Expected<std::unique_ptr<Runner>> R = Runner::local(std::move(*CP), Opts);
+    ASSERT_TRUE(R.ok()) << R.message();
+    Lanes[I].R = std::move(*R);
+    ASSERT_TRUE(Lanes[I].R->run(In).ok());
+    Lanes[I].Solo = Lanes[I].R->executionStats()->Ntts;
+    EXPECT_GT(Lanes[I].Solo, 0u);
+  }
+  EXPECT_NE(Lanes[0].Solo, Lanes[1].Solo);
+
+  std::vector<std::thread> Threads;
+  for (Lane &L : Lanes)
+    Threads.emplace_back([&L, &In] {
+      for (size_t K = 0; K < Runs; ++K)
+        if (L.R->run(In).ok())
+          L.Seen.push_back(L.R->executionStats()->Ntts);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const Lane &L : Lanes) {
+    EXPECT_EQ(L.Seen.size(), Runs);
+    for (uint64_t N : L.Seen)
+      EXPECT_EQ(N, L.Solo);
+  }
 }
 
 TEST(EndToEnd, MemoryReuseBoundsLiveCiphertexts) {

@@ -222,9 +222,8 @@ TEST(ProtoIO, RoundTripOfCompiledProgram) {
             countOps(*CP->Prog, OpCode::ModSwitch));
   EXPECT_EQ(countOps(**Q, OpCode::Relinearize),
             countOps(*CP->Prog, OpCode::Relinearize));
-  EXPECT_TRUE(validateRescaleChains(**Q, 60).ok());
-  Status S = validateScales(**Q);
-  EXPECT_TRUE(S.ok()) << (S.ok() ? "" : S.message());
+  Expected<AnalysisResult> AR = analyzeProgram(**Q);
+  EXPECT_TRUE(AR.ok()) << (AR.ok() ? "" : AR.message());
 }
 
 TEST(ProtoIO, RejectsGarbage) {

@@ -508,6 +508,8 @@ TEST(Service, MetricsObserveTheTrafficAClientSends) {
   EXPECT_GE(Snap.counterValue("eva_exec_multiplies_total"), Requests);
   EXPECT_GE(Snap.counterValue("eva_exec_rotations_total"), Requests);
   EXPECT_GE(Snap.counterValue("eva_exec_relinearizations_total"), Requests);
+  // Every key switch runs NTTs, so each request adds at least one.
+  EXPECT_GE(Snap.counterValue("eva_exec_ntts_total"), Requests);
 
   // Errors land in per-cause counters.
   OpenSessionMsg Bad;

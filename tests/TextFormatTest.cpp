@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "eva/core/Analysis.h"
 #include "eva/core/Compiler.h"
 #include "eva/frontend/Expr.h"
 #include "eva/ir/Printer.h"
@@ -59,9 +60,7 @@ TEST(TextFormat, RoundTripOfCompiledProgram) {
   Expected<std::unique_ptr<Program>> Q = parseProgramText(Text);
   ASSERT_TRUE(Q.ok()) << (Q.ok() ? "" : Q.message());
   // Compiler-inserted attributes survive: re-validate and re-select.
-  EXPECT_TRUE(validateRescaleChains(**Q, 60).ok());
-  EXPECT_TRUE(validateScales(**Q).ok());
-  EXPECT_TRUE(validateNumPolynomials(**Q).ok());
+  EXPECT_TRUE(analyzeProgram(**Q).ok());
   EXPECT_EQ(countOps(**Q, OpCode::Rescale),
             countOps(*CP->Prog, OpCode::Rescale));
   EXPECT_EQ(selectRotationSteps(**Q), CP->RotationSteps);

@@ -219,7 +219,7 @@ TEST(VerifierStages, PlaintextFromCiphertextRejected) {
 
 // --- Dataflow analyzer facts. ---
 
-TEST(Analyzer, FactsMatchLegacyValidatorsAndNoise) {
+TEST(Analyzer, FactsMatchWholeProgramQuantities) {
   std::unique_ptr<Program> P = makeWellFormed();
   Expected<CompiledProgram> CP = compile(*P);
   ASSERT_TRUE(CP.ok()) << CP.message();
@@ -227,16 +227,6 @@ TEST(Analyzer, FactsMatchLegacyValidatorsAndNoise) {
   AO.PolyDegree = CP->PolyDegree;
   Expected<AnalysisResult> AR = analyzeProgram(*CP->Prog, AO);
   ASSERT_TRUE(AR.ok()) << AR.message();
-  // The embedded noise phase reproduces the legacy estimator bit for bit.
-  NoiseEstimate Legacy = estimateNoise(*CP->Prog, CP->PolyDegree);
-  ASSERT_EQ(AR->OutputNoise.OutputPrecisionBits.size(),
-            Legacy.OutputPrecisionBits.size());
-  for (size_t I = 0; I < Legacy.OutputPrecisionBits.size(); ++I) {
-    EXPECT_DOUBLE_EQ(AR->OutputNoise.OutputPrecisionBits[I],
-                     Legacy.OutputPrecisionBits[I]);
-    EXPECT_DOUBLE_EQ(AR->OutputNoise.OutputNoiseBits[I],
-                     Legacy.OutputNoiseBits[I]);
-  }
   // Per-node facts line up with whole-program quantities.
   size_t MaxDepth = 0;
   for (const Node *N : CP->Prog->nodes())

@@ -49,10 +49,8 @@ TEST_P(ZooCompile, Table6InvariantsHold) {
 
   // Both outputs are validator-clean.
   for (const CompiledProgram *CP : {&Eva.value(), &Chet.value()}) {
-    EXPECT_TRUE(validateRescaleChains(*CP->Prog, 60).ok());
-    Status S = validateScales(*CP->Prog);
-    EXPECT_TRUE(S.ok()) << (S.ok() ? "" : S.message());
-    EXPECT_TRUE(validateNumPolynomials(*CP->Prog).ok());
+    Expected<AnalysisResult> AR = analyzeProgram(*CP->Prog);
+    EXPECT_TRUE(AR.ok()) << (AR.ok() ? "" : AR.message());
   }
 
   // Rotation-key sets agree (the same logical rotations, both modes).

@@ -33,8 +33,6 @@
 #include "eva/api/Runner.h"
 #include "eva/core/Analysis.h"
 #include "eva/core/Compiler.h"
-#include "eva/math/Simd.h"
-#include "eva/support/Profile.h"
 #include "eva/ir/Printer.h"
 #include "eva/ir/TextFormat.h"
 #include "eva/serialize/ProtoIO.h"
@@ -43,6 +41,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -494,26 +493,18 @@ int runCommand(int Argc, char **Argv) {
                Show);
   // Per-op counters go to stderr: stdout is the machine-readable result
   // document (golden-compared across backends), stderr is diagnostics.
-  if (const ExecutionStats *St = R->executionStats()) {
+  if (const ExecutionStats *St = R->executionStats())
     std::fprintf(stderr,
-                 "evac: ops: add=%zu sub=%zu negate=%zu multiply=%zu "
-                 "multiply_plain=%zu relinearize=%zu rescale=%zu "
-                 "modswitch=%zu rotate=%zu (hoisted=%zu in %zu batches) "
-                 "decompositions=%zu\n",
+                 "evac: ops: add=%" PRIu64 " sub=%" PRIu64 " negate=%" PRIu64
+                 " multiply=%" PRIu64 " multiply_plain=%" PRIu64
+                 " relinearize=%" PRIu64 " rescale=%" PRIu64
+                 " modswitch=%" PRIu64 " rotate=%" PRIu64 " (hoisted=%" PRIu64
+                 " in %" PRIu64 " batches) decompositions=%" PRIu64
+                 " ntts=%" PRIu64 "\n",
                  St->Adds, St->Subs, St->Negates, St->Multiplies,
                  St->PlainMultiplies, St->Relinearizations, St->Rescales,
                  St->ModSwitches, St->Rotations, St->HoistedRotations,
-                 St->HoistBatches, St->KeySwitchDecompositions);
-    if (profileEnabled())
-      std::fprintf(stderr,
-                   "evac: profile: ntts=%llu mulmods=%llu "
-                   "arena_acquires=%llu arena_heap_bytes=%llu (simd=%s)\n",
-                   static_cast<unsigned long long>(St->ProfNtts),
-                   static_cast<unsigned long long>(St->ProfMulMods),
-                   static_cast<unsigned long long>(St->ProfArenaAcquires),
-                   static_cast<unsigned long long>(St->ProfArenaHeapBytes),
-                   simdLevelName(activeSimdLevel()));
-  }
+                 St->HoistBatches, St->KeySwitchDecompositions, St->Ntts);
   R.reset();
   return 0;
 }
@@ -744,12 +735,19 @@ int main(int Argc, char **Argv) {
     std::printf("%llu ", static_cast<unsigned long long>(S));
   std::printf("}\n");
 
-  NoiseEstimate E = estimateNoise(*CP->Prog, CP->PolyDegree);
+  AnalysisOptions AO;
+  AO.SfBits = Options.SfBits;
+  AO.PolyDegree = CP->PolyDegree;
+  Expected<AnalysisResult> AR = analyzeProgram(*CP->Prog, AO);
+  if (!AR) {
+    std::fprintf(stderr, "evac: error: %s\n", AR.message().c_str());
+    return 1;
+  }
   for (size_t I = 0; I < CP->Prog->outputs().size(); ++I)
     std::printf("output @%-12s estimated precision %.1f bits (desired "
                 "scale 2^%.0f)\n",
                 CP->Prog->outputs()[I]->name().c_str(),
-                E.OutputPrecisionBits[I], CP->Prog->outputs()[I]->logScale());
+                AR->OutputNoise.OutputPrecisionBits[I], CP->Prog->outputs()[I]->logScale());
 
   if (Dump)
     std::printf("%s", printProgram(*CP->Prog).c_str());
