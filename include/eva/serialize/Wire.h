@@ -11,15 +11,23 @@
 /// Buffers dependency. Readers are defensive: malformed input yields an
 /// error, never undefined behaviour.
 ///
+/// Every decoder walks its fields through decodeFields(), which alone owns
+/// the framing policy: a truncated or malformed message, and a known field
+/// of the wrong wire type, are errors; an unknown field is skipped. The
+/// codecs keep only their semantic checks.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVA_SERIALIZE_WIRE_H
 #define EVA_SERIALIZE_WIRE_H
 
+#include "eva/support/Error.h"
+
 #include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace eva {
@@ -173,31 +181,92 @@ public:
     return true;
   }
 
-  /// Skips a field of the given wire type (unknown-field tolerance).
-  bool skip(WireType Type) {
-    switch (Type) {
-    case WireType::Varint: {
-      uint64_t V;
-      return readVarint(V);
-    }
-    case WireType::Fixed64: {
-      double D;
-      return readDouble(D);
-    }
-    case WireType::LengthDelimited: {
-      std::string_view B;
-      return readBytes(B);
-    }
-    }
-    Failed = true;
-    return false;
-  }
-
 private:
   std::string_view Data;
   size_t Pos = 0;
   bool Failed = false;
 };
+
+/// One field of a message walked by decodeFields(). A typed read marks the
+/// field as known to the decoder; asked for a wire type the field does not
+/// have, it returns false, leaves its output alone, and makes the walker
+/// reject the message whatever the callback returns. A field the callback
+/// never reads is unknown and skipped.
+class WireField {
+public:
+  uint32_t Number = 0;
+
+  bool read(uint64_t &V) { return is(WireType::Varint) && (V = Varint, true); }
+  bool read(double &V) { return is(WireType::Fixed64) && (V = Fixed, true); }
+  bool read(std::string_view &V) {
+    return is(WireType::LengthDelimited) && (V = Bytes, true);
+  }
+  bool read(std::string &V) {
+    return is(WireType::LengthDelimited) && (V = Bytes, true);
+  }
+
+  /// Walks a length-delimited field as a nested message.
+  template <typename Fn> Status decode(const char *What, Fn &&OnField);
+
+private:
+  template <typename Fn>
+  friend Status decodeFields(std::string_view, const char *, Fn &&);
+
+  bool is(WireType T) {
+    Mistyped |= Type != T;
+    return Type == T;
+  }
+  bool load(WireReader &R) {
+    Mistyped = false;
+    switch (Type) {
+    case WireType::Varint:
+      return R.readVarint(Varint);
+    case WireType::Fixed64:
+      return R.readDouble(Fixed);
+    case WireType::LengthDelimited:
+      return R.readBytes(Bytes);
+    }
+    return false;
+  }
+
+  WireType Type = WireType::Varint;
+  uint64_t Varint = 0;
+  double Fixed = 0;
+  std::string_view Bytes;
+  bool Mistyped = false;
+};
+
+/// Calls \p OnField (returning void or Status) on each field of \p Data in
+/// wire order. Errors: "truncated <What>" for a malformed or cut-off
+/// message, "malformed <What> field N" for a known field of the wrong wire
+/// type, else the first error the callback returns.
+template <typename Fn>
+Status decodeFields(std::string_view Data, const char *What, Fn &&OnField) {
+  WireReader R(Data);
+  WireField F;
+  while (R.nextField(F.Number, F.Type) && F.load(R)) {
+    Status S;
+    if constexpr (std::is_void_v<std::invoke_result_t<Fn &, WireField &>>)
+      OnField(F);
+    else
+      S = OnField(F);
+    if (F.Mistyped)
+      return Status::error(std::string("malformed ") + What + " field " +
+                           std::to_string(F.Number));
+    if (!S.ok())
+      return S;
+  }
+  if (R.failed())
+    return Status::error(std::string("truncated ") + What);
+  return Status::success();
+}
+
+template <typename Fn>
+Status WireField::decode(const char *What, Fn &&OnField) {
+  if (!is(WireType::LengthDelimited))
+    return Status::success(); // the enclosing walker reports the wire type
+  return decodeFields(Bytes, What, std::forward<Fn>(OnField));
+}
 
 } // namespace eva
 

@@ -203,6 +203,12 @@ eva::parseProgramText(std::string_view Text) {
       }
       if (Values.empty())
         return Fail(LineNo, "empty constant");
+      // makeConstant asserts this shape; a hostile listing gets a diagnostic.
+      if (TyTok != "scalar" &&
+          (!isPowerOfTwo(Values.size()) || Values.size() > P->vecSize()))
+        return Fail(LineNo, "constant payload size " +
+                                std::to_string(Values.size()) +
+                                "; must be a power of two <= vec_size");
       N = TyTok == "scalar" ? P->makeScalarConstant(Values[0], Scale)
                             : P->makeConstant(std::move(Values), Scale);
       break;

@@ -19,34 +19,131 @@ void writePoly(WireWriter &W, uint32_t Field, const RnsPoly &P) {
   W.bytesField(Field, serializeRnsPoly(P));
 }
 
-/// Parses one RnsPoly message body and validates it against the context.
-Expected<RnsPoly> parsePoly(const CkksContext &Ctx, std::string_view Data,
-                            size_t MaxPrimes) {
+/// Decodes a poly field into \p Out. Key material (\p Key) must span the
+/// whole modulus chain; data-chain objects may sit at any level.
+Status readPoly(WireField &F, const CkksContext &Ctx, bool Key, RnsPoly &Out) {
+  std::string_view Bytes;
+  if (!F.read(Bytes))
+    return Status::success(); // the walker rejects the wire type
+  size_t MaxPrimes = Key ? Ctx.totalPrimeCount() : Ctx.dataPrimeCount();
+  Expected<RnsPoly> P = deserializeRnsPoly(Ctx, Bytes, MaxPrimes);
+  if (!P)
+    return P.takeStatus();
+  if (Key && P->primeCount() != MaxPrimes)
+    return Status::error("key polynomial must span all primes");
+  Out = std::move(*P);
+  return Status::success();
+}
+
+/// A public key or key-switch pair: 1 = first poly, then either 2 = second
+/// poly or 3 = the nonzero seed the second expands from, never both.
+Status decodeSeededPair(const CkksContext &Ctx, std::string_view Data,
+                        const char *What, RnsPoly &First, RnsPoly &Second,
+                        uint64_t &Seed) {
+  bool HaveFirst = false, HaveSecond = false;
+  Seed = 0;
+  Status S = decodeFields(Data, What, [&](WireField &F) -> Status {
+    switch (F.Number) {
+    case 1:
+      HaveFirst = true;
+      return readPoly(F, Ctx, /*Key=*/true, First);
+    case 2:
+      HaveSecond = true;
+      return readPoly(F, Ctx, /*Key=*/true, Second);
+    case 3:
+      F.read(Seed);
+    }
+    return Status::success();
+  });
+  if (!S.ok())
+    return S;
+  if (!HaveFirst)
+    return Status::error(std::string(What) + " missing its first polynomial");
+  if (Seed != 0) {
+    if (HaveSecond)
+      return Status::error(std::string(What) +
+                           " has both a second polynomial and a seed");
+    Second = expandUniformNtt(Ctx, Ctx.totalPrimeCount(), Seed);
+  } else if (!HaveSecond) {
+    return Status::error(std::string(What) +
+                         " missing its second polynomial and seed");
+  }
+  return Status::success();
+}
+
+/// KSwitchPair: 1=k0, 2=k1 (omitted when seeded), 3=c1_seed.
+void writeKSwitchKey(WireWriter &W, uint32_t Field, const KSwitchKey &K) {
+  WireWriter KW;
+  for (size_t I = 0; I < K.Keys.size(); ++I) {
+    WireWriter PairW;
+    writePoly(PairW, 1, K.Keys[I][0]);
+    uint64_t Seed = I < K.C1Seeds.size() ? K.C1Seeds[I] : 0;
+    if (Seed != 0)
+      PairW.varintField(3, Seed);
+    else
+      writePoly(PairW, 2, K.Keys[I][1]);
+    KW.bytesField(1, PairW.str());
+  }
+  W.bytesField(Field, KW.str());
+}
+
+/// Decodes a KSwitchKey field: one KSwitchPair (field 1) per decomposition
+/// component.
+Status readKSwitchKey(WireField &F, const CkksContext &Ctx, KSwitchKey &Key) {
+  Key = KSwitchKey();
+  Status S = F.decode("key-switch key", [&](WireField &P) -> Status {
+    std::string_view Pair;
+    if (P.Number != 1 || !P.read(Pair))
+      return Status::success();
+    std::array<RnsPoly, 2> &K = Key.Keys.emplace_back();
+    return decodeSeededPair(Ctx, Pair, "key-switch pair", K[0], K[1],
+                            Key.C1Seeds.emplace_back());
+  });
+  if (!S.ok())
+    return S;
+  if (Key.Keys.size() != Ctx.dataPrimeCount())
+    return Status::error("key-switch key has " +
+                         std::to_string(Key.Keys.size()) +
+                         " decomposition components, context needs " +
+                         std::to_string(Ctx.dataPrimeCount()));
+  return Status::success();
+}
+
+} // namespace
+
+std::string eva::serializeRnsPoly(const RnsPoly &P) {
+  WireWriter PW;
+  PW.varintField(1, P.Degree);
+  PW.varintField(2, P.primeCount());
+  for (const std::vector<uint64_t> &Comp : P.Comps) {
+    std::string Raw(Comp.size() * 8, '\0');
+    for (size_t I = 0; I < Comp.size(); ++I)
+      storeLE64(&Raw[I * 8], Comp[I]);
+    PW.bytesField(3, Raw);
+  }
+  return PW.take();
+}
+
+Expected<RnsPoly> eva::deserializeRnsPoly(const CkksContext &Ctx,
+                                          std::string_view Data,
+                                          size_t MaxPrimes) {
   using Result = Expected<RnsPoly>;
   uint64_t Degree = 0, PrimeCount = 0;
   std::vector<std::string_view> RawComps;
-
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::Varint) {
-      if (!R.readVarint(Degree))
-        return Result::error("malformed poly degree");
-    } else if (Field == 2 && Type == WireType::Varint) {
-      if (!R.readVarint(PrimeCount))
-        return Result::error("malformed poly prime count");
-    } else if (Field == 3 && Type == WireType::LengthDelimited) {
-      std::string_view Raw;
-      if (!R.readBytes(Raw))
-        return Result::error("malformed poly component");
-      RawComps.push_back(Raw);
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed poly field");
+  Status S = decodeFields(Data, "poly", [&](WireField &F) {
+    switch (F.Number) {
+    case 1:
+      F.read(Degree);
+      break;
+    case 2:
+      F.read(PrimeCount);
+      break;
+    case 3:
+      F.read(RawComps.emplace_back());
     }
-  }
-  if (R.failed())
-    return Result::error("truncated poly");
+  });
+  if (!S.ok())
+    return S;
   if (Degree != Ctx.polyDegree())
     return Result::error("poly degree " + std::to_string(Degree) +
                          " does not match context degree " +
@@ -78,109 +175,6 @@ Expected<RnsPoly> parsePoly(const CkksContext &Ctx, std::string_view Data,
   return P;
 }
 
-/// KSwitchPair: 1=k0, 2=k1 (omitted when seeded), 3=c1_seed.
-void writeKSwitchKey(WireWriter &W, uint32_t Field, const KSwitchKey &K) {
-  WireWriter KW;
-  for (size_t I = 0; I < K.Keys.size(); ++I) {
-    WireWriter PairW;
-    writePoly(PairW, 1, K.Keys[I][0]);
-    uint64_t Seed = I < K.C1Seeds.size() ? K.C1Seeds[I] : 0;
-    if (Seed != 0)
-      PairW.varintField(3, Seed);
-    else
-      writePoly(PairW, 2, K.Keys[I][1]);
-    KW.bytesField(1, PairW.str());
-  }
-  W.bytesField(Field, KW.str());
-}
-
-Expected<KSwitchKey> parseKSwitchKey(const CkksContext &Ctx,
-                                     std::string_view Data) {
-  using Result = Expected<KSwitchKey>;
-  KSwitchKey Key;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view PairBytes;
-      if (!R.readBytes(PairBytes))
-        return Result::error("malformed key-switch pair");
-      std::array<RnsPoly, 2> Pair;
-      uint64_t Seed = 0;
-      bool HaveK0 = false, HaveK1 = false;
-      WireReader PR(PairBytes);
-      uint32_t F;
-      WireType T;
-      while (PR.nextField(F, T)) {
-        if ((F == 1 || F == 2) && T == WireType::LengthDelimited) {
-          std::string_view PolyBytes;
-          if (!PR.readBytes(PolyBytes))
-            return Result::error("malformed key-switch polynomial");
-          Expected<RnsPoly> P =
-              parsePoly(Ctx, PolyBytes, Ctx.totalPrimeCount());
-          if (!P)
-            return P.takeStatus();
-          // Key-switch components span the full modulus chain.
-          if (P->primeCount() != Ctx.totalPrimeCount())
-            return Result::error("key-switch polynomial must span all primes");
-          Pair[F - 1] = std::move(*P);
-          (F == 1 ? HaveK0 : HaveK1) = true;
-        } else if (F == 3 && T == WireType::Varint) {
-          if (!PR.readVarint(Seed))
-            return Result::error("malformed key-switch seed");
-        } else if (!PR.skip(T)) {
-          return Result::error("malformed key-switch field");
-        }
-      }
-      if (PR.failed())
-        return Result::error("truncated key-switch pair");
-      if (!HaveK0)
-        return Result::error("key-switch pair missing k0");
-      if (Seed != 0) {
-        if (HaveK1)
-          return Result::error("key-switch pair has both k1 and a seed");
-        Pair[1] = expandUniformNtt(Ctx, Ctx.totalPrimeCount(), Seed);
-      } else if (!HaveK1) {
-        return Result::error("key-switch pair missing k1 and seed");
-      }
-      Key.Keys.push_back(std::move(Pair));
-      Key.C1Seeds.push_back(Seed);
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed key-switch key field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated key-switch key");
-  if (Key.Keys.size() != Ctx.dataPrimeCount())
-    return Result::error("key-switch key has " +
-                         std::to_string(Key.Keys.size()) +
-                         " decomposition components, context needs " +
-                         std::to_string(Ctx.dataPrimeCount()));
-  return Key;
-}
-
-} // namespace
-
-std::string eva::serializeRnsPoly(const RnsPoly &P) {
-  WireWriter PW;
-  PW.varintField(1, P.Degree);
-  PW.varintField(2, P.primeCount());
-  for (const std::vector<uint64_t> &Comp : P.Comps) {
-    std::string Raw(Comp.size() * 8, '\0');
-    for (size_t I = 0; I < Comp.size(); ++I)
-      storeLE64(&Raw[I * 8], Comp[I]);
-    PW.bytesField(3, Raw);
-  }
-  return PW.take();
-}
-
-Expected<RnsPoly> eva::deserializeRnsPoly(const CkksContext &Ctx,
-                                          std::string_view Data,
-                                          size_t MaxPrimes) {
-  return parsePoly(Ctx, Data, MaxPrimes);
-}
-
 std::string eva::serializePlaintext(const Plaintext &Pt) {
   WireWriter W;
   writePoly(W, 1, Pt.Poly);
@@ -193,28 +187,18 @@ Expected<Plaintext> eva::deserializePlaintext(const CkksContext &Ctx,
   using Result = Expected<Plaintext>;
   Plaintext Pt;
   bool HavePoly = false;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view PolyBytes;
-      if (!R.readBytes(PolyBytes))
-        return Result::error("malformed plaintext poly");
-      Expected<RnsPoly> P = parsePoly(Ctx, PolyBytes, Ctx.dataPrimeCount());
-      if (!P)
-        return P.takeStatus();
-      Pt.Poly = std::move(*P);
+  Status S = decodeFields(Data, "plaintext", [&](WireField &F) -> Status {
+    switch (F.Number) {
+    case 1:
       HavePoly = true;
-    } else if (Field == 2 && Type == WireType::Fixed64) {
-      if (!R.readDouble(Pt.Scale))
-        return Result::error("malformed plaintext scale");
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed plaintext field");
+      return readPoly(F, Ctx, /*Key=*/false, Pt.Poly);
+    case 2:
+      F.read(Pt.Scale);
     }
-  }
-  if (R.failed())
-    return Result::error("truncated plaintext");
+    return Status::success();
+  });
+  if (!S.ok())
+    return S;
   if (!HavePoly)
     return Result::error("plaintext missing polynomial");
   if (!(Pt.Scale > 0) || !std::isfinite(Pt.Scale))
@@ -240,34 +224,24 @@ Expected<Ciphertext> eva::deserializeCiphertext(const CkksContext &Ctx,
   using Result = Expected<Ciphertext>;
   Ciphertext Ct;
   uint64_t C1Seed = 0;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view PolyBytes;
-      if (!R.readBytes(PolyBytes))
-        return Result::error("malformed ciphertext poly");
+  Status S = decodeFields(Data, "ciphertext", [&](WireField &F) -> Status {
+    switch (F.Number) {
+    case 1:
       // A ciphertext grown by unrelinearized multiplies stays small; cap the
       // polynomial count defensively so hostile input cannot balloon memory.
       if (Ct.Polys.size() >= 8)
-        return Result::error("ciphertext has too many polynomials");
-      Expected<RnsPoly> P = parsePoly(Ctx, PolyBytes, Ctx.dataPrimeCount());
-      if (!P)
-        return P.takeStatus();
-      Ct.Polys.push_back(std::move(*P));
-    } else if (Field == 2 && Type == WireType::Fixed64) {
-      if (!R.readDouble(Ct.Scale))
-        return Result::error("malformed ciphertext scale");
-    } else if (Field == 3 && Type == WireType::Varint) {
-      if (!R.readVarint(C1Seed))
-        return Result::error("malformed ciphertext seed");
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed ciphertext field");
+        return Status::error("ciphertext has too many polynomials");
+      return readPoly(F, Ctx, /*Key=*/false, Ct.Polys.emplace_back());
+    case 2:
+      F.read(Ct.Scale);
+      break;
+    case 3:
+      F.read(C1Seed);
     }
-  }
-  if (R.failed())
-    return Result::error("truncated ciphertext");
+    return Status::success();
+  });
+  if (!S.ok())
+    return S;
   if (C1Seed != 0) {
     if (Ct.Polys.size() != 1)
       return Result::error("seed-compressed ciphertext must store exactly "
@@ -297,42 +271,11 @@ std::string eva::serializePublicKey(const PublicKey &Pk) {
 
 Expected<PublicKey> eva::deserializePublicKey(const CkksContext &Ctx,
                                               std::string_view Data) {
-  using Result = Expected<PublicKey>;
   PublicKey Pk;
-  bool HaveP0 = false, HaveP1 = false;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if ((Field == 1 || Field == 2) && Type == WireType::LengthDelimited) {
-      std::string_view PolyBytes;
-      if (!R.readBytes(PolyBytes))
-        return Result::error("malformed public key poly");
-      Expected<RnsPoly> P = parsePoly(Ctx, PolyBytes, Ctx.totalPrimeCount());
-      if (!P)
-        return P.takeStatus();
-      if (P->primeCount() != Ctx.totalPrimeCount())
-        return Result::error("public key polynomial must span all primes");
-      (Field == 1 ? Pk.P0 : Pk.P1) = std::move(*P);
-      (Field == 1 ? HaveP0 : HaveP1) = true;
-    } else if (Field == 3 && Type == WireType::Varint) {
-      if (!R.readVarint(Pk.P1Seed))
-        return Result::error("malformed public key seed");
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed public key field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated public key");
-  if (!HaveP0)
-    return Result::error("public key missing p0");
-  if (Pk.P1Seed != 0) {
-    if (HaveP1)
-      return Result::error("public key has both p1 and a seed");
-    Pk.P1 = expandUniformNtt(Ctx, Ctx.totalPrimeCount(), Pk.P1Seed);
-  } else if (!HaveP1) {
-    return Result::error("public key missing p1 and seed");
-  }
+  if (Status S = decodeSeededPair(Ctx, Data, "public key", Pk.P0, Pk.P1,
+                                  Pk.P1Seed);
+      !S.ok())
+    return S;
   return Pk;
 }
 
@@ -344,30 +287,18 @@ std::string eva::serializeRelinKeys(const RelinKeys &Rk) {
 
 Expected<RelinKeys> eva::deserializeRelinKeys(const CkksContext &Ctx,
                                               std::string_view Data) {
-  using Result = Expected<RelinKeys>;
   RelinKeys Rk;
   bool HaveKey = false;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view KeyBytes;
-      if (!R.readBytes(KeyBytes))
-        return Result::error("malformed relin key");
-      Expected<KSwitchKey> K = parseKSwitchKey(Ctx, KeyBytes);
-      if (!K)
-        return K.takeStatus();
-      Rk.Key = std::move(*K);
-      HaveKey = true;
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed relin keys field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated relin keys");
+  Status S = decodeFields(Data, "relin keys", [&](WireField &F) -> Status {
+    if (F.Number != 1)
+      return Status::success();
+    HaveKey = true;
+    return readKSwitchKey(F, Ctx, Rk.Key);
+  });
+  if (!S.ok())
+    return S;
   if (!HaveKey)
-    return Result::error("relin keys missing key");
+    return Expected<RelinKeys>::error("relin keys missing key");
   return Rk;
 }
 
@@ -384,56 +315,38 @@ std::string eva::serializeGaloisKeys(const GaloisKeys &Gk) {
 
 Expected<GaloisKeys> eva::deserializeGaloisKeys(const CkksContext &Ctx,
                                                 std::string_view Data) {
-  using Result = Expected<GaloisKeys>;
   GaloisKeys Gk;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view EntryBytes;
-      if (!R.readBytes(EntryBytes))
-        return Result::error("malformed galois entry");
-      uint64_t Elt = 0;
-      KSwitchKey Key;
-      bool HaveKey = false;
-      WireReader ER(EntryBytes);
-      uint32_t F;
-      WireType T;
-      while (ER.nextField(F, T)) {
-        if (F == 1 && T == WireType::Varint) {
-          if (!ER.readVarint(Elt))
-            return Result::error("malformed galois element");
-        } else if (F == 2 && T == WireType::LengthDelimited) {
-          std::string_view KeyBytes;
-          if (!ER.readBytes(KeyBytes))
-            return Result::error("malformed galois key");
-          Expected<KSwitchKey> K = parseKSwitchKey(Ctx, KeyBytes);
-          if (!K)
-            return K.takeStatus();
-          Key = std::move(*K);
-          HaveKey = true;
-        } else if (!ER.skip(T)) {
-          return Result::error("malformed galois entry field");
-        }
+  Status S = decodeFields(Data, "galois keys", [&](WireField &Entry) -> Status {
+    if (Entry.Number != 1)
+      return Status::success();
+    uint64_t Elt = 0;
+    KSwitchKey Key;
+    bool HaveKey = false;
+    Status ES = Entry.decode("galois entry", [&](WireField &F) -> Status {
+      switch (F.Number) {
+      case 1:
+        F.read(Elt);
+        break;
+      case 2:
+        HaveKey = true;
+        return readKSwitchKey(F, Ctx, Key);
       }
-      if (ER.failed())
-        return Result::error("truncated galois entry");
-      // Valid Galois elements are odd and in (1, 2N).
-      if (Elt < 3 || Elt >= 2 * Ctx.polyDegree() || Elt % 2 == 0)
-        return Result::error("galois element " + std::to_string(Elt) +
-                             " out of range");
-      if (!HaveKey)
-        return Result::error("galois entry missing key");
-      if (!Gk.Keys.emplace(Elt, std::move(Key)).second)
-        return Result::error("duplicate galois element " +
-                             std::to_string(Elt));
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed galois keys field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated galois keys");
+      return Status::success();
+    });
+    if (!ES.ok())
+      return ES;
+    // Valid Galois elements are odd and in (1, 2N).
+    if (Elt < 3 || Elt >= 2 * Ctx.polyDegree() || Elt % 2 == 0)
+      return Status::error("galois element " + std::to_string(Elt) +
+                           " out of range");
+    if (!HaveKey)
+      return Status::error("galois entry missing key");
+    if (!Gk.Keys.emplace(Elt, std::move(Key)).second)
+      return Status::error("duplicate galois element " + std::to_string(Elt));
+    return Status::success();
+  });
+  if (!S.ok())
+    return S;
   return Gk;
 }
 
@@ -445,31 +358,17 @@ std::string eva::serializeSecretKey(const SecretKey &Sk) {
 
 Expected<SecretKey> eva::deserializeSecretKey(const CkksContext &Ctx,
                                               std::string_view Data) {
-  using Result = Expected<SecretKey>;
   SecretKey Sk;
   bool HaveS = false;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view PolyBytes;
-      if (!R.readBytes(PolyBytes))
-        return Result::error("malformed secret key poly");
-      Expected<RnsPoly> P = parsePoly(Ctx, PolyBytes, Ctx.totalPrimeCount());
-      if (!P)
-        return P.takeStatus();
-      if (P->primeCount() != Ctx.totalPrimeCount())
-        return Result::error("secret key must span all primes");
-      Sk.S = std::move(*P);
-      HaveS = true;
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed secret key field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated secret key");
+  Status S = decodeFields(Data, "secret key", [&](WireField &F) -> Status {
+    if (F.Number != 1)
+      return Status::success();
+    HaveS = true;
+    return readPoly(F, Ctx, /*Key=*/true, Sk.S);
+  });
+  if (!S.ok())
+    return S;
   if (!HaveS)
-    return Result::error("secret key missing polynomial");
+    return Expected<SecretKey>::error("secret key missing polynomial");
   return Sk;
 }

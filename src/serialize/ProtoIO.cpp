@@ -195,30 +195,122 @@ std::string eva::serializeProgram(const Program &P) {
 
 namespace {
 
-bool decodeObjectId(std::string_view Bytes, uint64_t &Id) {
-  WireReader R(Bytes);
-  uint32_t Field;
-  WireType Type;
+/// Reads an `Object { uint64 id = 1; }` reference field.
+Status readObjectId(WireField &F, uint64_t &Id) {
   Id = 0;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::Varint) {
-      if (!R.readVarint(Id))
-        return false;
-    } else if (!R.skip(Type)) {
-      return false;
+  return F.decode("object", [&](WireField &O) {
+    if (O.Number == 1)
+      O.read(Id);
+  });
+}
+
+struct RawConst {
+  uint64_t Id = 0;
+  uint64_t Type = PT_VECTOR_CONST;
+  double Scale = 0;
+  std::vector<double> Values;
+};
+
+Status readConstant(WireField &F, RawConst &C) {
+  return F.decode("constant", [&](WireField &CF) -> Status {
+    switch (CF.Number) {
+    case 1:
+      return readObjectId(CF, C.Id);
+    case 2:
+      CF.read(C.Type);
+      break;
+    case 3:
+      CF.read(C.Scale);
+      break;
+    case 4:
+      return CF.decode("constant vector", [&](WireField &VF) -> Status {
+        std::string_view Raw;
+        if (VF.Number == 1 && VF.read(Raw) && !unpackDoubles(Raw, C.Values))
+          return Status::error("malformed packed doubles");
+        return Status::success();
+      });
     }
-  }
-  return !R.failed();
+    return Status::success();
+  });
+}
+
+struct RawInput {
+  uint64_t Id = 0;
+  uint64_t Type = PT_VECTOR_CIPHER;
+  double Scale = 0;
+  std::string Name;
+};
+
+Status readInput(WireField &F, RawInput &In) {
+  return F.decode("input", [&](WireField &IF) -> Status {
+    switch (IF.Number) {
+    case 1:
+      return readObjectId(IF, In.Id);
+    case 2:
+      IF.read(In.Type);
+      break;
+    case 3:
+      IF.read(In.Scale);
+      break;
+    case 15:
+      IF.read(In.Name);
+    }
+    return Status::success();
+  });
+}
+
+struct RawOutput {
+  uint64_t Id = 0;
+  double Scale = 0;
+  std::string Name;
+};
+
+Status readOutput(WireField &F, RawOutput &Out) {
+  return F.decode("output", [&](WireField &OF) -> Status {
+    switch (OF.Number) {
+    case 1:
+      return readObjectId(OF, Out.Id);
+    case 2:
+      OF.read(Out.Scale);
+      break;
+    case 15:
+      OF.read(Out.Name);
+    }
+    return Status::success();
+  });
 }
 
 struct RawInstruction {
   uint64_t Id = 0;
   uint64_t Op = 0;
   std::vector<uint64_t> Args;
-  int64_t Rotation = 0;
-  int RescaleBits = 0;
+  uint64_t Rotation = 0; // zigzag-encoded
+  uint64_t RescaleBits = 0;
   double AttrScale = 0;
 };
+
+Status readInstruction(WireField &F, RawInstruction &Inst) {
+  return F.decode("instruction", [&](WireField &IF) -> Status {
+    switch (IF.Number) {
+    case 1:
+      return readObjectId(IF, Inst.Id);
+    case 2:
+      IF.read(Inst.Op);
+      break;
+    case 3:
+      return readObjectId(IF, Inst.Args.emplace_back());
+    case 4:
+      IF.read(Inst.Rotation);
+      break;
+    case 5:
+      IF.read(Inst.RescaleBits);
+      break;
+    case 6:
+      IF.read(Inst.AttrScale);
+    }
+    return Status::success();
+  });
+}
 
 } // namespace
 
@@ -227,197 +319,30 @@ eva::deserializeProgram(std::string_view Data) {
   using Result = Expected<std::unique_ptr<Program>>;
   uint64_t VecSize = 0;
   std::string Name = "program";
-
-  struct RawConst {
-    uint64_t Id;
-    uint64_t Type;
-    double Scale;
-    std::vector<double> Values;
-  };
-  struct RawInput {
-    uint64_t Id;
-    uint64_t Type;
-    double Scale;
-    std::string Name;
-  };
-  struct RawOutput {
-    uint64_t Id;
-    double Scale;
-    std::string Name;
-  };
   std::vector<RawConst> Consts;
   std::vector<RawInput> Ins;
   std::vector<RawOutput> Outs;
   std::vector<RawInstruction> Insts;
-
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    switch (Field) {
-    case 1: {
-      if (Type != WireType::Varint || !R.readVarint(VecSize))
-        return Result::error("malformed vec_size");
+  Status S = decodeFields(Data, "program", [&](WireField &F) -> Status {
+    switch (F.Number) {
+    case 1:
+      F.read(VecSize);
       break;
+    case 2:
+      return readConstant(F, Consts.emplace_back());
+    case 3:
+      return readInput(F, Ins.emplace_back());
+    case 4:
+      return readOutput(F, Outs.emplace_back());
+    case 5:
+      return readInstruction(F, Insts.emplace_back());
+    case 6:
+      F.read(Name);
     }
-    case 2: { // Constant
-      std::string_view B;
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed constant");
-      RawConst C{0, PT_VECTOR_CONST, 0, {}};
-      WireReader CR(B);
-      uint32_t F;
-      WireType T;
-      while (CR.nextField(F, T)) {
-        if (F == 1 && T == WireType::LengthDelimited) {
-          std::string_view O;
-          if (!CR.readBytes(O) || !decodeObjectId(O, C.Id))
-            return Result::error("malformed constant object");
-        } else if (F == 2 && T == WireType::Varint) {
-          if (!CR.readVarint(C.Type))
-            return Result::error("malformed constant type");
-        } else if (F == 3 && T == WireType::Fixed64) {
-          if (!CR.readDouble(C.Scale))
-            return Result::error("malformed constant scale");
-        } else if (F == 4 && T == WireType::LengthDelimited) {
-          std::string_view V;
-          if (!CR.readBytes(V))
-            return Result::error("malformed constant vector");
-          WireReader VR(V);
-          uint32_t VF;
-          WireType VT;
-          while (VR.nextField(VF, VT)) {
-            if (VF == 1 && VT == WireType::LengthDelimited) {
-              std::string_view Raw;
-              if (!VR.readBytes(Raw) || !unpackDoubles(Raw, C.Values))
-                return Result::error("malformed packed doubles");
-            } else if (!VR.skip(VT)) {
-              return Result::error("malformed vector field");
-            }
-          }
-        } else if (!CR.skip(T)) {
-          return Result::error("malformed constant field");
-        }
-      }
-      Consts.push_back(std::move(C));
-      break;
-    }
-    case 3: { // Input
-      std::string_view B;
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed input");
-      RawInput In{0, PT_VECTOR_CIPHER, 0, {}};
-      WireReader IR(B);
-      uint32_t F;
-      WireType T;
-      while (IR.nextField(F, T)) {
-        if (F == 1 && T == WireType::LengthDelimited) {
-          std::string_view O;
-          if (!IR.readBytes(O) || !decodeObjectId(O, In.Id))
-            return Result::error("malformed input object");
-        } else if (F == 2 && T == WireType::Varint) {
-          if (!IR.readVarint(In.Type))
-            return Result::error("malformed input type");
-        } else if (F == 3 && T == WireType::Fixed64) {
-          if (!IR.readDouble(In.Scale))
-            return Result::error("malformed input scale");
-        } else if (F == 15 && T == WireType::LengthDelimited) {
-          std::string_view NameBytes;
-          if (!IR.readBytes(NameBytes))
-            return Result::error("malformed input name");
-          In.Name = std::string(NameBytes);
-        } else if (!IR.skip(T)) {
-          return Result::error("malformed input field");
-        }
-      }
-      Ins.push_back(std::move(In));
-      break;
-    }
-    case 4: { // Output
-      std::string_view B;
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed output");
-      RawOutput Out{0, 0, {}};
-      WireReader OR(B);
-      uint32_t F;
-      WireType T;
-      while (OR.nextField(F, T)) {
-        if (F == 1 && T == WireType::LengthDelimited) {
-          std::string_view O;
-          if (!OR.readBytes(O) || !decodeObjectId(O, Out.Id))
-            return Result::error("malformed output object");
-        } else if (F == 2 && T == WireType::Fixed64) {
-          if (!OR.readDouble(Out.Scale))
-            return Result::error("malformed output scale");
-        } else if (F == 15 && T == WireType::LengthDelimited) {
-          std::string_view NameBytes;
-          if (!OR.readBytes(NameBytes))
-            return Result::error("malformed output name");
-          Out.Name = std::string(NameBytes);
-        } else if (!OR.skip(T)) {
-          return Result::error("malformed output field");
-        }
-      }
-      Outs.push_back(std::move(Out));
-      break;
-    }
-    case 5: { // Instruction
-      std::string_view B;
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed instruction");
-      RawInstruction Inst;
-      WireReader IR(B);
-      uint32_t F;
-      WireType T;
-      while (IR.nextField(F, T)) {
-        if (F == 1 && T == WireType::LengthDelimited) {
-          std::string_view O;
-          if (!IR.readBytes(O) || !decodeObjectId(O, Inst.Id))
-            return Result::error("malformed instruction output");
-        } else if (F == 2 && T == WireType::Varint) {
-          if (!IR.readVarint(Inst.Op))
-            return Result::error("malformed opcode");
-        } else if (F == 3 && T == WireType::LengthDelimited) {
-          std::string_view O;
-          uint64_t ArgId;
-          if (!IR.readBytes(O) || !decodeObjectId(O, ArgId))
-            return Result::error("malformed instruction arg");
-          Inst.Args.push_back(ArgId);
-        } else if (F == 4 && T == WireType::Varint) {
-          uint64_t Z;
-          if (!IR.readVarint(Z))
-            return Result::error("malformed rotation");
-          Inst.Rotation = unzigzag(Z);
-        } else if (F == 5 && T == WireType::Varint) {
-          uint64_t Bits;
-          if (!IR.readVarint(Bits))
-            return Result::error("malformed rescale bits");
-          Inst.RescaleBits = static_cast<int>(Bits);
-        } else if (F == 6 && T == WireType::Fixed64) {
-          if (!IR.readDouble(Inst.AttrScale))
-            return Result::error("malformed attr scale");
-        } else if (!IR.skip(T)) {
-          return Result::error("malformed instruction field");
-        }
-      }
-      Insts.push_back(std::move(Inst));
-      break;
-    }
-    case 6: { // Program name (extension)
-      std::string_view B;
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed program name");
-      Name = std::string(B);
-      break;
-    }
-    default:
-      if (!R.skip(Type))
-        return Result::error("malformed unknown field");
-      break;
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated or malformed program");
+    return Status::success();
+  });
+  if (!S.ok())
+    return S;
   if (!isPowerOfTwo(VecSize))
     return Result::error("vec_size must be a power of two");
 
@@ -427,6 +352,12 @@ eva::deserializeProgram(std::string_view Data) {
   for (const RawConst &C : Consts) {
     if (C.Values.empty())
       return Result::error("constant with no values");
+    // makeConstant asserts this shape; hostile bytes get a diagnostic.
+    if (C.Type != PT_SCALAR_CONST &&
+        (!isPowerOfTwo(C.Values.size()) || C.Values.size() > VecSize))
+      return Result::error("constant payload size " +
+                           std::to_string(C.Values.size()) +
+                           "; must be a power of two <= vec_size");
     Node *N =
         C.Type == PT_SCALAR_CONST
             ? P->makeScalarConstant(C.Values[0], C.Scale)
@@ -465,8 +396,8 @@ eva::deserializeProgram(std::string_view Data) {
             ? Parms[0]->type()
             : ValueType::Cipher;
     Node *N = P->makeInstruction(Op, std::move(Parms), Ty);
-    N->setRotation(static_cast<int32_t>(Inst.Rotation));
-    N->setRescaleBits(Inst.RescaleBits);
+    N->setRotation(static_cast<int32_t>(unzigzag(Inst.Rotation)));
+    N->setRescaleBits(static_cast<int>(Inst.RescaleBits));
     if (Op == OpCode::NormalizeScale)
       N->setLogScale(Inst.AttrScale);
     if (!ById.emplace(Inst.Id, N).second)

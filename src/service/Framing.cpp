@@ -6,6 +6,7 @@
 
 #include "eva/service/Framing.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <sys/socket.h>
@@ -98,9 +99,19 @@ Expected<Frame> eva::readFrame(int Fd) {
                          " exceeds the protocol maximum");
   Frame F;
   F.Type = static_cast<MessageType>(RawType);
-  F.Payload.resize(Len);
-  if (Len > 0)
-    if (Status S = readAll(Fd, F.Payload.data(), Len, SawAnyByte); !S.ok())
+  // The length is only the peer's claim. Reserve address space for it (one
+  // allocation, no copies) but commit memory as bytes arrive: resize()
+  // zero-fills, so grow a chunk at a time and a header alone adds at most
+  // one chunk to the resident set.
+  constexpr size_t Chunk = 1u << 20;
+  F.Payload.reserve(Len);
+  while (F.Payload.size() < Len) {
+    size_t Got = F.Payload.size();
+    size_t Step = std::min<size_t>(Len - Got, Chunk);
+    F.Payload.resize(Got + Step);
+    if (Status S = readAll(Fd, F.Payload.data() + Got, Step, SawAnyByte);
+        !S.ok())
       return S;
+  }
   return F;
 }

@@ -8,7 +8,6 @@
 
 #include "eva/serialize/Wire.h"
 
-
 using namespace eva;
 
 const char *eva::messageTypeName(MessageType T) {
@@ -49,21 +48,13 @@ std::string serializeIdMsg(uint64_t Id) {
 }
 
 Expected<uint64_t> deserializeIdMsg(std::string_view Data, const char *What) {
-  using Result = Expected<uint64_t>;
   uint64_t Id = 0;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::Varint) {
-      if (!R.readVarint(Id))
-        return Result::error(std::string("malformed ") + What + " id");
-    } else if (!R.skip(Type)) {
-      return Result::error(std::string("malformed ") + What + " field");
-    }
-  }
-  if (R.failed())
-    return Result::error(std::string("truncated ") + What);
+  Status S = decodeFields(Data, What, [&](WireField &F) {
+    if (F.Number == 1)
+      F.read(Id);
+  });
+  if (!S.ok())
+    return S;
   return Id;
 }
 
@@ -76,32 +67,24 @@ std::string serializeNamedBytes(const std::string &Name,
   return W.take();
 }
 
-Status parseNamedBytes(std::string_view Data, std::string &Name,
-                       std::string &Payload, const char *What) {
+/// Decodes a `{ string name = 1; <T> value = 2; }` message (named inputs,
+/// outputs, counters and gauges); the name is required.
+template <typename T>
+Status readNamed(WireField &F, const char *What, std::string &Name, T &Value) {
   Name.clear();
-  Payload.clear();
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    std::string_view B;
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      if (!R.readBytes(B))
-        return Status::error(std::string("malformed ") + What + " name");
-      Name = std::string(B);
-    } else if (Field == 2 && Type == WireType::LengthDelimited) {
-      if (!R.readBytes(B))
-        return Status::error(std::string("malformed ") + What + " payload");
-      Payload = std::string(B);
-    } else if (!R.skip(Type)) {
-      return Status::error(std::string("malformed ") + What + " field");
+  Value = T();
+  Status S = F.decode(What, [&](WireField &NF) {
+    switch (NF.Number) {
+    case 1:
+      NF.read(Name);
+      break;
+    case 2:
+      NF.read(Value);
     }
-  }
-  if (R.failed())
-    return Status::error(std::string("truncated ") + What);
-  if (Name.empty())
+  });
+  if (S.ok() && Name.empty())
     return Status::error(std::string(What) + " missing name");
-  return Status::success();
+  return S;
 }
 
 } // namespace
@@ -113,23 +96,13 @@ std::string eva::serializeError(const ErrorMsg &M) {
 }
 
 Expected<ErrorMsg> eva::deserializeError(std::string_view Data) {
-  using Result = Expected<ErrorMsg>;
   ErrorMsg M;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view B;
-      if (!R.readBytes(B))
-        return Result::error("malformed error message");
-      M.Message = std::string(B);
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed error field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated error message");
+  Status S = decodeFields(Data, "error message", [&](WireField &F) {
+    if (F.Number == 1)
+      F.read(M.Message);
+  });
+  if (!S.ok())
+    return S;
   return M;
 }
 
@@ -163,117 +136,89 @@ std::string eva::serializeParamSignature(const ParamSignature &Sig) {
   return W.take();
 }
 
+namespace {
+
+Status readInputSpec(WireField &F, ServiceInputSpec &In) {
+  uint64_t Kind = 0;
+  Status S = F.decode("input spec", [&](WireField &IF) {
+    switch (IF.Number) {
+    case 1:
+      IF.read(In.Name);
+      break;
+    case 2:
+      IF.read(In.LogScale);
+      break;
+    case 3:
+      IF.read(Kind);
+    }
+  });
+  In.IsCipher = Kind != 0;
+  if (S.ok() && In.Name.empty())
+    return Status::error("input spec missing name");
+  return S;
+}
+
+Status readOutputSpec(WireField &F, ServiceOutputSpec &Out) {
+  Status S = F.decode("output spec", [&](WireField &OF) {
+    switch (OF.Number) {
+    case 1:
+      OF.read(Out.Name);
+      break;
+    case 2:
+      OF.read(Out.LogScale);
+    }
+  });
+  if (S.ok() && Out.Name.empty())
+    return Status::error("output spec missing name");
+  return S;
+}
+
+} // namespace
+
 Expected<ParamSignature> eva::deserializeParamSignature(std::string_view Data) {
   using Result = Expected<ParamSignature>;
   ParamSignature Sig;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
+  Status S = decodeFields(Data, "signature", [&](WireField &F) -> Status {
     uint64_t V = 0;
-    std::string_view B;
-    switch (Field) {
+    switch (F.Number) {
     case 1:
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed signature program name");
-      Sig.ProgramName = std::string(B);
+      F.read(Sig.ProgramName);
       break;
     case 2:
-      if (Type != WireType::Varint || !R.readVarint(Sig.PolyDegree))
-        return Result::error("malformed signature poly degree");
+      F.read(Sig.PolyDegree);
       break;
     case 3:
-      if (Type != WireType::Varint || !R.readVarint(Sig.VecSize))
-        return Result::error("malformed signature vec size");
+      F.read(Sig.VecSize);
       break;
     case 4:
-      if (Type != WireType::Varint || !R.readVarint(V) || V > 64)
-        return Result::error("malformed signature bit size");
+      if (F.read(V) && V > 64)
+        return Status::error("malformed signature bit size");
       Sig.ContextBitSizes.push_back(static_cast<int>(V));
       break;
     case 5:
-      if (Type != WireType::Varint || !R.readVarint(V))
-        return Result::error("malformed signature rotation step");
+      F.read(V);
       Sig.RotationSteps.push_back(V);
       break;
     case 6:
-      if (Type != WireType::Varint || !R.readVarint(V) || V > 1)
-        return Result::error("malformed signature security level");
+      if (F.read(V) && V > 1)
+        return Status::error("malformed signature security level");
       Sig.Security = V == 0 ? SecurityLevel::None : SecurityLevel::TC128;
       break;
-    case 7: {
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed signature input");
-      ServiceInputSpec In;
-      WireReader IR(B);
-      uint32_t F;
-      WireType T;
-      while (IR.nextField(F, T)) {
-        std::string_view NB;
-        uint64_t IV = 0;
-        if (F == 1 && T == WireType::LengthDelimited) {
-          if (!IR.readBytes(NB))
-            return Result::error("malformed input spec name");
-          In.Name = std::string(NB);
-        } else if (F == 2 && T == WireType::Fixed64) {
-          if (!IR.readDouble(In.LogScale))
-            return Result::error("malformed input spec scale");
-        } else if (F == 3 && T == WireType::Varint) {
-          if (!IR.readVarint(IV))
-            return Result::error("malformed input spec kind");
-          In.IsCipher = IV != 0;
-        } else if (!IR.skip(T)) {
-          return Result::error("malformed input spec field");
-        }
-      }
-      if (IR.failed() || In.Name.empty())
-        return Result::error("truncated input spec");
-      Sig.Inputs.push_back(std::move(In));
-      break;
-    }
-    case 8: {
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed signature output");
-      ServiceOutputSpec Out;
-      WireReader OR(B);
-      uint32_t F;
-      WireType T;
-      while (OR.nextField(F, T)) {
-        std::string_view NB;
-        if (F == 1 && T == WireType::LengthDelimited) {
-          if (!OR.readBytes(NB))
-            return Result::error("malformed output spec name");
-          Out.Name = std::string(NB);
-        } else if (F == 2 && T == WireType::Fixed64) {
-          if (!OR.readDouble(Out.LogScale))
-            return Result::error("malformed output spec scale");
-        } else if (!OR.skip(T)) {
-          return Result::error("malformed output spec field");
-        }
-      }
-      if (OR.failed() || Out.Name.empty())
-        return Result::error("truncated output spec");
-      Sig.Outputs.push_back(std::move(Out));
-      break;
-    }
+    case 7:
+      return readInputSpec(F, Sig.Inputs.emplace_back());
+    case 8:
+      return readOutputSpec(F, Sig.Outputs.emplace_back());
     case 9:
-      if (Type != WireType::Varint || !R.readVarint(V))
-        return Result::error("malformed signature relin flag");
+      F.read(V);
       Sig.NeedsRelin = V != 0;
       break;
     case 10:
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed signature lint warning");
-      Sig.LintWarnings.push_back(std::string(B));
-      break;
-    default:
-      if (!R.skip(Type))
-        return Result::error("malformed signature field");
-      break;
+      F.read(Sig.LintWarnings.emplace_back());
     }
-  }
-  if (R.failed())
-    return Result::error("truncated signature");
+    return Status::success();
+  });
+  if (!S.ok())
+    return S;
   if (Sig.ProgramName.empty())
     return Result::error("signature missing program name");
   if (Sig.PolyDegree == 0 || Sig.ContextBitSizes.empty())
@@ -289,26 +234,19 @@ std::string eva::serializeProgramList(const ProgramListMsg &M) {
 }
 
 Expected<ProgramListMsg> eva::deserializeProgramList(std::string_view Data) {
-  using Result = Expected<ProgramListMsg>;
   ProgramListMsg M;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view B;
-      if (!R.readBytes(B))
-        return Result::error("malformed program list entry");
-      Expected<ParamSignature> Sig = deserializeParamSignature(B);
-      if (!Sig)
-        return Sig.takeStatus();
-      M.Programs.push_back(std::move(*Sig));
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed program list field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated program list");
+  Status S = decodeFields(Data, "program list", [&](WireField &F) -> Status {
+    std::string_view B;
+    if (F.Number != 1 || !F.read(B))
+      return Status::success();
+    Expected<ParamSignature> Sig = deserializeParamSignature(B);
+    if (!Sig)
+      return Sig.takeStatus();
+    M.Programs.push_back(std::move(*Sig));
+    return Status::success();
+  });
+  if (!S.ok())
+    return S;
   return M;
 }
 
@@ -321,27 +259,23 @@ std::string eva::serializeOpenSession(const OpenSessionMsg &M) {
 }
 
 Expected<OpenSessionMsg> eva::deserializeOpenSession(std::string_view Data) {
-  using Result = Expected<OpenSessionMsg>;
   OpenSessionMsg M;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    std::string_view B;
-    if (Field >= 1 && Field <= 3 && Type == WireType::LengthDelimited) {
-      if (!R.readBytes(B))
-        return Result::error("malformed open-session field");
-      (Field == 1 ? M.ProgramName
-       : Field == 2 ? M.RelinKeyBytes
-                    : M.GaloisKeyBytes) = std::string(B);
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed open-session field");
+  Status S = decodeFields(Data, "open-session message", [&](WireField &F) {
+    switch (F.Number) {
+    case 1:
+      F.read(M.ProgramName);
+      break;
+    case 2:
+      F.read(M.RelinKeyBytes);
+      break;
+    case 3:
+      F.read(M.GaloisKeyBytes);
     }
-  }
-  if (R.failed())
-    return Result::error("truncated open-session message");
+  });
+  if (!S.ok())
+    return S;
   if (M.ProgramName.empty())
-    return Result::error("open-session missing program name");
+    return Expected<OpenSessionMsg>::error("open-session missing program name");
   return M;
 }
 
@@ -368,39 +302,30 @@ std::string eva::serializeExecute(const ExecuteMsg &M) {
 }
 
 Expected<ExecuteMsg> eva::deserializeExecute(std::string_view Data) {
-  using Result = Expected<ExecuteMsg>;
   ExecuteMsg M;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::Varint) {
-      if (!R.readVarint(M.SessionId))
-        return Result::error("malformed execute session id");
-    } else if ((Field == 2 || Field == 3) &&
-               Type == WireType::LengthDelimited) {
-      std::string_view B;
-      if (!R.readBytes(B))
-        return Result::error("malformed execute input");
-      std::string Name, Payload;
-      if (Status S = parseNamedBytes(
-              B, Name, Payload, Field == 2 ? "cipher input" : "plain input");
-          !S.ok())
-        return S;
-      if (Field == 2) {
-        M.CipherInputs.emplace_back(std::move(Name), std::move(Payload));
-      } else {
-        std::vector<double> Values;
-        if (!unpackDoubles(Payload, Values))
-          return Result::error("malformed plain input values");
-        M.PlainInputs.emplace_back(std::move(Name), std::move(Values));
-      }
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed execute field");
+  Status S = decodeFields(Data, "execute message", [&](WireField &F) -> Status {
+    std::string Name, Payload;
+    Status NS;
+    switch (F.Number) {
+    case 1:
+      F.read(M.SessionId);
+      break;
+    case 2:
+      NS = readNamed(F, "cipher input", Name, Payload);
+      M.CipherInputs.emplace_back(std::move(Name), std::move(Payload));
+      break;
+    case 3: {
+      std::vector<double> Values;
+      NS = readNamed(F, "plain input", Name, Payload);
+      if (NS.ok() && !unpackDoubles(Payload, Values))
+        NS = Status::error("malformed plain input values");
+      M.PlainInputs.emplace_back(std::move(Name), std::move(Values));
     }
-  }
-  if (R.failed())
-    return Result::error("truncated execute message");
+    }
+    return NS;
+  });
+  if (!S.ok())
+    return S;
   return M;
 }
 
@@ -415,29 +340,22 @@ std::string eva::serializeExecuteResult(const ExecuteResultMsg &M) {
 
 Expected<ExecuteResultMsg>
 eva::deserializeExecuteResult(std::string_view Data) {
-  using Result = Expected<ExecuteResultMsg>;
   ExecuteResultMsg M;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view B;
-      if (!R.readBytes(B))
-        return Result::error("malformed execute result output");
-      std::string Name, Payload;
-      if (Status S = parseNamedBytes(B, Name, Payload, "output"); !S.ok())
-        return S;
+  Status S = decodeFields(Data, "execute result", [&](WireField &F) -> Status {
+    std::string Name, Payload;
+    Status NS;
+    switch (F.Number) {
+    case 1:
+      NS = readNamed(F, "output", Name, Payload);
       M.Outputs.emplace_back(std::move(Name), std::move(Payload));
-    } else if (Field == 2 && Type == WireType::Varint) {
-      if (!R.readVarint(M.RequestId))
-        return Result::error("malformed execute result request id");
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed execute result field");
+      break;
+    case 2:
+      F.read(M.RequestId);
     }
-  }
-  if (R.failed())
-    return Result::error("truncated execute result");
+    return NS;
+  });
+  if (!S.ok())
+    return S;
   return M;
 }
 
@@ -476,33 +394,6 @@ std::string serializeNamedValue(const std::string &Name, uint64_t Value) {
   return W.take();
 }
 
-Status parseNamedValue(std::string_view Data, std::string &Name,
-                       uint64_t &Value, const char *What) {
-  Name.clear();
-  Value = 0;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    std::string_view B;
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      if (!R.readBytes(B))
-        return Status::error(std::string("malformed ") + What + " name");
-      Name = std::string(B);
-    } else if (Field == 2 && Type == WireType::Varint) {
-      if (!R.readVarint(Value))
-        return Status::error(std::string("malformed ") + What + " value");
-    } else if (!R.skip(Type)) {
-      return Status::error(std::string("malformed ") + What + " field");
-    }
-  }
-  if (R.failed())
-    return Status::error(std::string("truncated ") + What);
-  if (Name.empty())
-    return Status::error(std::string(What) + " missing name");
-  return Status::success();
-}
-
 std::string serializeHistogramVal(const HistogramSnapshot &H) {
   WireWriter W;
   W.bytesField(1, H.Name);
@@ -515,56 +406,35 @@ std::string serializeHistogramVal(const HistogramSnapshot &H) {
   return W.take();
 }
 
-Expected<HistogramSnapshot> parseHistogramVal(std::string_view Data) {
-  using Result = Expected<HistogramSnapshot>;
-  HistogramSnapshot H;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    std::string_view B;
-    uint64_t V = 0;
-    double D = 0;
-    switch (Field) {
+Status readHistogramVal(WireField &F, HistogramSnapshot &H) {
+  Status S = F.decode("histogram", [&](WireField &HF) {
+    switch (HF.Number) {
     case 1:
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed histogram name");
-      H.Name = std::string(B);
+      HF.read(H.Name);
       break;
     case 2:
-      if (Type != WireType::Fixed64 || !R.readDouble(D))
-        return Result::error("malformed histogram bound");
-      H.UpperBounds.push_back(D);
+      HF.read(H.UpperBounds.emplace_back());
       break;
     case 3:
-      if (Type != WireType::Varint || !R.readVarint(V))
-        return Result::error("malformed histogram bucket");
-      H.Buckets.push_back(V);
+      HF.read(H.Buckets.emplace_back());
       break;
     case 4:
-      if (Type != WireType::Varint || !R.readVarint(H.Count))
-        return Result::error("malformed histogram count");
+      HF.read(H.Count);
       break;
     case 5:
-      if (Type != WireType::Fixed64 || !R.readDouble(H.Sum))
-        return Result::error("malformed histogram sum");
-      break;
-    default:
-      if (!R.skip(Type))
-        return Result::error("malformed histogram field");
-      break;
+      HF.read(H.Sum);
     }
-  }
-  if (R.failed())
-    return Result::error("truncated histogram");
+  });
+  if (!S.ok())
+    return S;
   if (H.Name.empty())
-    return Result::error("histogram missing name");
+    return Status::error("histogram missing name");
   // Shape invariant of a fixed-boundary histogram: one overflow bucket
   // beyond the finite bounds. A hostile or corrupt payload must not
   // produce a snapshot whose quantile() indexes out of step.
   if (H.Buckets.size() != H.UpperBounds.size() + 1)
-    return Result::error("histogram bucket/bound count mismatch");
-  return H;
+    return Status::error("histogram bucket/bound count mismatch");
+  return Status::success();
 }
 
 } // namespace
@@ -582,39 +452,26 @@ std::string eva::serializeMetrics(const MetricsSnapshot &Snap) {
 }
 
 Expected<MetricsSnapshot> eva::deserializeMetrics(std::string_view Data) {
-  using Result = Expected<MetricsSnapshot>;
   MetricsSnapshot Snap;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    std::string_view B;
-    if ((Field >= 1 && Field <= 3) && Type == WireType::LengthDelimited) {
-      if (!R.readBytes(B))
-        return Result::error("malformed metrics entry");
-      if (Field == 1) {
-        std::string Name;
-        uint64_t V;
-        if (Status S = parseNamedValue(B, Name, V, "counter"); !S.ok())
-          return S;
-        Snap.Counters.push_back({std::move(Name), V});
-      } else if (Field == 2) {
-        std::string Name;
-        uint64_t V;
-        if (Status S = parseNamedValue(B, Name, V, "gauge"); !S.ok())
-          return S;
-        Snap.Gauges.push_back({std::move(Name), static_cast<int64_t>(V)});
-      } else {
-        Expected<HistogramSnapshot> H = parseHistogramVal(B);
-        if (!H)
-          return H.takeStatus();
-        Snap.Histograms.push_back(std::move(*H));
-      }
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed metrics field");
+  Status S = decodeFields(Data, "metrics message", [&](WireField &F) -> Status {
+    std::string Name;
+    uint64_t V = 0;
+    Status NS;
+    switch (F.Number) {
+    case 1:
+      NS = readNamed(F, "counter", Name, V);
+      Snap.Counters.push_back({std::move(Name), V});
+      break;
+    case 2:
+      NS = readNamed(F, "gauge", Name, V);
+      Snap.Gauges.push_back({std::move(Name), static_cast<int64_t>(V)});
+      break;
+    case 3:
+      NS = readHistogramVal(F, Snap.Histograms.emplace_back());
     }
-  }
-  if (R.failed())
-    return Result::error("truncated metrics message");
+    return NS;
+  });
+  if (!S.ok())
+    return S;
   return Snap;
 }

@@ -9,6 +9,7 @@
 #include "eva/core/Compiler.h"
 #include "eva/frontend/Expr.h"
 #include "eva/ir/Printer.h"
+#include "eva/ir/TextFormat.h"
 #include "eva/runtime/ReferenceExecutor.h"
 #include "eva/serialize/CkksIO.h"
 #include "eva/serialize/ProtoIO.h"
@@ -18,6 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <utility>
 
 using namespace eva;
 
@@ -124,16 +128,14 @@ TEST(Wire, RejectsLengthExceedingRemainingBuffer) {
 }
 
 TEST(Wire, SkipRejectsMalformedNestedLength) {
-  // skip() of a length-delimited field must apply the same bounds check.
+  // Skipping an unknown length-delimited field applies the same bounds
+  // check as reading a known one.
   WireWriter W;
   W.tag(7, WireType::LengthDelimited);
   W.varint(1000); // dangling: no payload follows
-  WireReader R(W.str());
-  uint32_t Field;
-  WireType Type;
-  ASSERT_TRUE(R.nextField(Field, Type));
-  EXPECT_FALSE(R.skip(Type));
-  EXPECT_TRUE(R.failed());
+  Status S = decodeFields(W.str(), "probe", [](WireField &) {});
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.message(), "truncated probe");
 }
 
 TEST(Wire, SkipsUnknownFields) {
@@ -142,18 +144,45 @@ TEST(Wire, SkipsUnknownFields) {
   W.doubleField(10, 1.5);
   W.bytesField(11, "xyz");
   W.varintField(1, 7);
-  WireReader R(W.str());
-  uint32_t Field;
-  WireType Type;
   uint64_t Found = 0;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::Varint)
-      ASSERT_TRUE(R.readVarint(Found));
-    else
-      ASSERT_TRUE(R.skip(Type));
-  }
+  int Calls = 0;
+  Status S = decodeFields(W.str(), "probe", [&](WireField &F) {
+    ++Calls;
+    if (F.Number == 1)
+      F.read(Found);
+  });
+  EXPECT_TRUE(S.ok());
   EXPECT_EQ(Found, 7u);
-  EXPECT_FALSE(R.failed());
+  EXPECT_EQ(Calls, 4);
+}
+
+TEST(Wire, RejectsKnownFieldOfWrongWireType) {
+  WireWriter W;
+  W.bytesField(1, "not a varint");
+  uint64_t V = 5;
+  bool Read = true;
+  Status S = decodeFields(W.str(), "probe", [&](WireField &F) -> Status {
+    Read = F.read(V);
+    return Status::error("callback error loses to the wire-type error");
+  });
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.message(), "malformed probe field 1");
+  EXPECT_FALSE(Read);
+  EXPECT_EQ(V, 5u) << "a mistyped read must leave its output alone";
+  // A nested walk reports its own name, and the callback's own error
+  // passes through unchanged.
+  WireWriter Outer;
+  Outer.bytesField(2, W.str());
+  S = decodeFields(Outer.str(), "outer", [&](WireField &F) {
+    return F.decode("inner", [&](WireField &G) { G.read(V); });
+  });
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.message(), "malformed inner field 1");
+  S = decodeFields(Outer.str(), "outer", [](WireField &) {
+    return Status::error("semantic");
+  });
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.message(), "semantic");
 }
 
 std::unique_ptr<Program> buildRichProgram() {
@@ -258,6 +287,133 @@ TEST(ProtoIO, RejectsNonPowerOfTwoVecSize) {
   WireWriter W;
   W.varintField(1, 12);
   EXPECT_FALSE(deserializeProgram(W.str()).ok());
+}
+
+// Decoding renumbers node ids in creation order and encoding walks the
+// graph in topological order, so the ids of an encoding (from
+// ProgramBuilder, or a text listing; evac reads both formats) settle within
+// a few same-sized passes. From there decode/encode must be the identity:
+// no field is dropped, altered or reordered.
+TEST(ProtoIO, FixturesReserializeByteIdentically) {
+  int Seen = 0;
+  for (const auto &E : std::filesystem::directory_iterator(EVA_FIXTURES_DIR)) {
+    if (E.path().extension() != ".evabin")
+      continue;
+    ++Seen;
+    std::ifstream In(E.path(), std::ios::binary);
+    std::string Data((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+    if (Data.rfind("program ", 0) == 0) {
+      Expected<std::unique_ptr<Program>> T = parseProgramText(Data);
+      ASSERT_TRUE(T.ok()) << E.path() << ": " << T.message();
+      Data = serializeProgram(**T);
+    }
+    std::string Prev;
+    for (int Pass = 0; Pass < 4 && Data != Prev; ++Pass) {
+      Expected<std::unique_ptr<Program>> Q = deserializeProgram(Data);
+      ASSERT_TRUE(Q.ok()) << E.path() << ": " << Q.message();
+      Prev = std::exchange(Data, serializeProgram(**Q));
+      EXPECT_EQ(Data.size(), Prev.size()) << E.path();
+    }
+    EXPECT_EQ(Data, Prev) << E.path() << " never re-encodes to itself";
+  }
+  EXPECT_GE(Seen, 3);
+}
+
+/// A hand-encoded program (out = x + c at vec_size 8) whose message named
+/// \p Where gets the raw fields \p Extra appended. Every object reference
+/// is an "object" message.
+std::string handProgram(std::string_view Where, const std::string &Extra,
+                        size_t ConstSize = 8) {
+  auto With = [&](const WireWriter &W, std::string_view Name) {
+    return Where == Name ? W.str() + Extra : W.str();
+  };
+  auto Object = [&](uint64_t Id) {
+    WireWriter O;
+    O.varintField(1, Id);
+    return With(O, "object");
+  };
+  WireWriter Vec;
+  Vec.bytesField(1, packDoubles(std::vector<double>(ConstSize, 0.5)));
+  WireWriter C;
+  C.bytesField(1, Object(1));
+  C.varintField(2, 4); // VECTOR_CONST
+  C.doubleField(3, 10);
+  C.bytesField(4, With(Vec, "constant vector"));
+  WireWriter In;
+  In.bytesField(1, Object(0));
+  In.varintField(2, 6); // VECTOR_CIPHER
+  In.doubleField(3, 30);
+  In.bytesField(15, "x");
+  WireWriter I;
+  I.bytesField(1, Object(2));
+  I.varintField(2, 2); // ADD
+  I.bytesField(3, Object(0));
+  I.bytesField(3, Object(1));
+  WireWriter O;
+  O.bytesField(1, Object(2));
+  O.doubleField(2, 30);
+  O.bytesField(15, "out");
+  WireWriter P;
+  P.varintField(1, 8);
+  P.bytesField(2, With(C, "constant"));
+  P.bytesField(3, With(In, "input"));
+  P.bytesField(4, With(O, "output"));
+  P.bytesField(5, With(I, "instruction"));
+  return With(P, "program");
+}
+
+TEST(ProtoIO, EveryMessageSkipsUnknownAndRejectsMistypedFields) {
+  struct Probe {
+    const char *Where;
+    uint32_t Field;
+    std::string Mistyped; // the known field sent with another wire type
+  };
+  auto Varint = [](uint32_t F) {
+    WireWriter W;
+    W.varintField(F, 1);
+    return W.take();
+  };
+  auto Bytes = [](uint32_t F) {
+    WireWriter W;
+    W.bytesField(F, "?");
+    return W.take();
+  };
+  WireWriter Unknown;
+  Unknown.varintField(99, 1);
+  Unknown.doubleField(98, 2.0);
+  Unknown.bytesField(97, "zz");
+  ASSERT_TRUE(deserializeProgram(handProgram("", "")).ok());
+  for (const Probe &P : std::vector<Probe>{{"program", 1, Bytes(1)},
+                                           {"constant", 3, Varint(3)},
+                                           {"constant vector", 1, Varint(1)},
+                                           {"input", 15, Varint(15)},
+                                           {"output", 2, Varint(2)},
+                                           {"instruction", 2, Bytes(2)},
+                                           {"object", 1, Bytes(1)}}) {
+    Expected<std::unique_ptr<Program>> Q =
+        deserializeProgram(handProgram(P.Where, Unknown.str()));
+    ASSERT_TRUE(Q.ok()) << P.Where << ": " << Q.message();
+    EXPECT_EQ((*Q)->nodeCount(), 4u) << P.Where;
+    Q = deserializeProgram(handProgram(P.Where, P.Mistyped));
+    ASSERT_FALSE(Q.ok()) << P.Where;
+    EXPECT_EQ(Q.message(), std::string("malformed ") + P.Where + " field " +
+                               std::to_string(P.Field));
+  }
+}
+
+// makeConstant asserts on a payload that is not a power of two or exceeds
+// vec_size; hostile bytes must get a diagnostic instead (a Debug build
+// aborted here).
+TEST(ProtoIO, RejectsMisshapenConstantPayloads) {
+  for (size_t Size : {size_t(3), size_t(16)}) {
+    Expected<std::unique_ptr<Program>> Q =
+        deserializeProgram(handProgram("", "", Size));
+    ASSERT_FALSE(Q.ok()) << Size;
+    EXPECT_NE(Q.message().find("payload size " + std::to_string(Size)),
+              std::string::npos)
+        << Q.message();
+  }
 }
 
 //===----------------------------------------------------------------------===//

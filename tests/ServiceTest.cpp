@@ -30,7 +30,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <functional>
 #include <limits>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -372,11 +375,54 @@ TEST(Framing, RejectsUnknownMessageType) {
   EXPECT_NE(F.message().find("unknown frame type"), std::string::npos);
 }
 
+/// This process's resident set, from /proc/self/statm.
+size_t residentBytes() {
+  std::ifstream Statm("/proc/self/statm");
+  size_t Pages = 0, Resident = 0;
+  Statm >> Pages >> Resident;
+  return Resident * static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// A header alone must not pin the payload it claims: readFrame grows its
+// buffer only as bytes arrive. (Sizing it from the header let idle
+// header-only connections hold 256 MiB each.)
+TEST(Framing, HeaderAloneDoesNotPinItsClaimedPayload) {
+  SocketPair SP;
+  uint32_t Len = MaxFramePayload;
+  char Header[10] = {'E', 'V', 'A', 'S', FrameVersion,
+                     char(MessageType::Execute)};
+  for (int I = 0; I < 4; ++I)
+    Header[6 + I] = static_cast<char>((Len >> (8 * I)) & 0xFF);
+  size_t Before = residentBytes();
+  ASSERT_EQ(::write(SP.Fds[0], Header, 10), 10);
+  ASSERT_EQ(::write(SP.Fds[0], "abc", 3), 3);
+  std::thread Reader([&] {
+    Expected<Frame> F = readFrame(SP.Fds[1]);
+    ASSERT_FALSE(F.ok());
+    EXPECT_NE(F.message().find("truncated"), std::string::npos);
+  });
+  // Wait for the reader to drain the socket and block on the payload.
+  int Pending = 1;
+  for (int I = 0; Pending > 0 && I < 2000; ++I) {
+    if (::ioctl(SP.Fds[1], FIONREAD, &Pending) != 0)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(Pending, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  size_t During = residentBytes();
+  ::shutdown(SP.Fds[0], SHUT_WR);
+  Reader.join();
+  EXPECT_LT(During, Before + (32u << 20))
+      << "a 13-byte connection grew the resident set by "
+      << ((During - Before) >> 20) << " MiB";
+}
+
 //===----------------------------------------------------------------------===//
 // Messages
 //===----------------------------------------------------------------------===//
 
-TEST(Messages, ParamSignatureRoundTrip) {
+ParamSignature sampleSignature() {
   ParamSignature Sig;
   Sig.ProgramName = "demo";
   Sig.PolyDegree = 8192;
@@ -389,6 +435,19 @@ TEST(Messages, ParamSignatureRoundTrip) {
   Sig.Outputs = {{"out", 30}};
   Sig.LintWarnings = {"[unused-input] %1: input 'w' is never used",
                       "[dead-output] %9: output 'out' depends on no input"};
+  return Sig;
+}
+
+ExecuteMsg sampleExecute() {
+  ExecuteMsg M;
+  M.SessionId = 99;
+  M.CipherInputs = {{"x", std::string("\x01\x02\x00\x03", 4)}};
+  M.PlainInputs = {{"w", {1.5, -2.25, 0.0}}};
+  return M;
+}
+
+TEST(Messages, ParamSignatureRoundTrip) {
+  ParamSignature Sig = sampleSignature();
   Expected<ParamSignature> Q =
       deserializeParamSignature(serializeParamSignature(Sig));
   ASSERT_TRUE(Q.ok()) << (Q.ok() ? "" : Q.message());
@@ -410,10 +469,7 @@ TEST(Messages, ParamSignatureRoundTrip) {
 }
 
 TEST(Messages, ExecuteRoundTrip) {
-  ExecuteMsg M;
-  M.SessionId = 99;
-  M.CipherInputs = {{"x", std::string("\x01\x02\x00\x03", 4)}};
-  M.PlainInputs = {{"w", {1.5, -2.25, 0.0}}};
+  ExecuteMsg M = sampleExecute();
   Expected<ExecuteMsg> Q = deserializeExecute(serializeExecute(M));
   ASSERT_TRUE(Q.ok()) << (Q.ok() ? "" : Q.message());
   EXPECT_EQ(Q->SessionId, 99u);
@@ -432,6 +488,183 @@ TEST(Messages, RejectsGarbage) {
   EXPECT_FALSE(deserializeProgramList(Junk).ok());
   EXPECT_FALSE(deserializeExecuteResult(Junk).ok());
 }
+
+//===----------------------------------------------------------------------===//
+// Wire battery: every CkksIO object and every message with a payload
+// (LIST_PROGRAMS and GET_METRICS carry none) keeps its bytes through
+// decode/encode and follows the one field-walker policy.
+//===----------------------------------------------------------------------===//
+
+/// Decodes an encoding and encodes the result again.
+using Reencode = std::function<Expected<std::string>(std::string_view)>;
+
+template <typename DecodeFn, typename EncodeFn>
+Reencode reencodeWith(DecodeFn Decode, EncodeFn Encode) {
+  return [=](std::string_view In) -> Expected<std::string> {
+    auto V = Decode(In);
+    if (!V)
+      return V.takeStatus();
+    return Encode(*V);
+  };
+}
+
+/// One decoder: a sample encoding with its re-encoder, and a field the
+/// decoder knows with that field's wire type.
+struct WireCase {
+  const char *Name;
+  uint32_t KnownField;
+  WireType KnownType;
+  std::function<std::pair<std::string, Reencode>(MiniCkks &)> Make;
+};
+
+/// A WireCase for a CkksIO object: \p Decode takes the context first.
+template <typename T, typename SampleFn, typename EncodeFn>
+WireCase ckksCase(const char *Name, uint32_t Field, WireType Type,
+                  SampleFn Sample,
+                  Expected<T> (*Decode)(const CkksContext &, std::string_view),
+                  EncodeFn Encode) {
+  return {Name, Field, Type, [=](MiniCkks &K) {
+            std::shared_ptr<const CkksContext> Ctx = K.Ctx;
+            auto DecodeIn = [=](std::string_view B) { return Decode(*Ctx, B); };
+            return std::pair{Encode(Sample(K)), reencodeWith(DecodeIn, Encode)};
+          }};
+}
+
+/// A WireCase for a service message.
+template <typename T>
+WireCase messageCase(const char *Name, uint32_t Field, WireType Type,
+                     T Sample, std::string (*Encode)(const T &),
+                     Expected<T> (*Decode)(std::string_view)) {
+  return {Name, Field, Type, [=](MiniCkks &) {
+            return std::pair{Encode(Sample), reencodeWith(Decode, Encode)};
+          }};
+}
+
+Expected<RnsPoly> decodeDataPoly(const CkksContext &Ctx, std::string_view B) {
+  return deserializeRnsPoly(Ctx, B, Ctx.dataPrimeCount());
+}
+
+std::vector<WireCase> wireCases() {
+  using WT = WireType;
+  auto Pt = [](MiniCkks &K) {
+    return K.encode(randomVector(K.Ctx->slotCount(), 21));
+  };
+  auto Ct = [Pt](MiniCkks &K) { return K.Enc->encrypt(Pt(K)); };
+  // Seed-compressed: c1 travels as the seed it expands from.
+  WireCase SeededCt{"SeededCiphertext", 3, WT::Varint, [Pt](MiniCkks &K) {
+    uint64_t Seed = 0;
+    Ciphertext C =
+        K.Enc->encryptSymmetric(Pt(K), K.KeyGen->secretKey(), Seed);
+    auto Encode = [Seed](const Ciphertext &X) {
+      return serializeCiphertext(X, Seed);
+    };
+    std::shared_ptr<const CkksContext> Ctx = K.Ctx;
+    auto Decode = [Ctx](std::string_view B) {
+      return deserializeCiphertext(*Ctx, B);
+    };
+    return std::pair{Encode(C), reencodeWith(Decode, Encode)};
+  }};
+  auto Plain = [](const Ciphertext &C) { return serializeCiphertext(C); };
+
+  MetricsSnapshot Snap;
+  Snap.Counters = {{"eva_requests_total", 3}};
+  Snap.Gauges = {{"eva_queue_depth", -5}};
+  Snap.Histograms = {{"eva_request_seconds", {0.1, 1.0}, {1, 2, 3}, 6, 2.5}};
+  return {
+      ckksCase("RnsPoly", 1, WT::Varint,
+               [Pt](MiniCkks &K) { return Pt(K).Poly; }, decodeDataPoly,
+               serializeRnsPoly),
+      ckksCase("Plaintext", 2, WT::Fixed64, Pt, deserializePlaintext,
+               serializePlaintext),
+      ckksCase("Ciphertext", 2, WT::Fixed64, Ct, deserializeCiphertext, Plain),
+      SeededCt,
+      ckksCase(
+          "PublicKey", 3, WT::Varint,
+          [](MiniCkks &K) { return K.KeyGen->createPublicKey(); },
+          deserializePublicKey, serializePublicKey),
+      ckksCase(
+          "SecretKey", 1, WT::LengthDelimited,
+          [](MiniCkks &K) { return K.KeyGen->secretKey(); },
+          deserializeSecretKey, serializeSecretKey),
+      ckksCase(
+          "RelinKeys", 1, WT::LengthDelimited,
+          [](MiniCkks &K) { return K.KeyGen->createRelinKeys(); },
+          deserializeRelinKeys, serializeRelinKeys),
+      ckksCase(
+          "GaloisKeys", 1, WT::LengthDelimited,
+          [](MiniCkks &K) { return K.KeyGen->createGaloisKeys({1, 3}); },
+          deserializeGaloisKeys, serializeGaloisKeys),
+      messageCase("Error", 1, WT::LengthDelimited, ErrorMsg{"boom"},
+                  serializeError, deserializeError),
+      messageCase("ParamSignature", 2, WT::Varint, sampleSignature(),
+                  serializeParamSignature, deserializeParamSignature),
+      messageCase("ProgramList", 1, WT::LengthDelimited,
+                  ProgramListMsg{{sampleSignature(), sampleSignature()}},
+                  serializeProgramList, deserializeProgramList),
+      messageCase("OpenSession", 2, WT::LengthDelimited,
+                  OpenSessionMsg{"demo", "relin", "galois"},
+                  serializeOpenSession, deserializeOpenSession),
+      messageCase("SessionOpened", 1, WT::Varint, SessionOpenedMsg{7},
+                  serializeSessionOpened, deserializeSessionOpened),
+      messageCase("Execute", 1, WT::Varint, sampleExecute(), serializeExecute,
+                  deserializeExecute),
+      messageCase("ExecuteResult", 2, WT::Varint,
+                  ExecuteResultMsg{{{"out", std::string("\0\x01", 2)}}, 42},
+                  serializeExecuteResult, deserializeExecuteResult),
+      messageCase("CloseSession", 1, WT::Varint, CloseSessionMsg{8},
+                  serializeCloseSession, deserializeCloseSession),
+      messageCase("SessionClosed", 1, WT::Varint, SessionClosedMsg{9},
+                  serializeSessionClosed, deserializeSessionClosed),
+      messageCase("Metrics", 3, WT::LengthDelimited, Snap, serializeMetrics,
+                  deserializeMetrics),
+  };
+}
+
+class WireBattery : public ::testing::TestWithParam<WireCase> {};
+
+TEST_P(WireBattery, RoundTripIsByteIdentical) {
+  MiniCkks K;
+  auto [Data, Again] = GetParam().Make(K);
+  Expected<std::string> Out = Again(Data);
+  ASSERT_TRUE(Out.ok()) << Out.message();
+  EXPECT_EQ(*Out, Data);
+}
+
+TEST_P(WireBattery, SkipsUnknownFields) {
+  MiniCkks K;
+  auto [Data, Again] = GetParam().Make(K);
+  WireWriter Unknown;
+  Unknown.varintField(1000, 1);
+  Unknown.doubleField(1001, 2.0);
+  Unknown.bytesField(1002, "zz");
+  Expected<std::string> Out = Again(Unknown.str() + Data + Unknown.str());
+  ASSERT_TRUE(Out.ok()) << Out.message();
+  EXPECT_EQ(*Out, Data);
+}
+
+TEST_P(WireBattery, RejectsKnownFieldOfWrongWireType) {
+  MiniCkks K;
+  auto [Data, Again] = GetParam().Make(K);
+  const WireCase &C = GetParam();
+  WireWriter Bad;
+  if (C.KnownType == WireType::LengthDelimited)
+    Bad.varintField(C.KnownField, 1);
+  else
+    Bad.bytesField(C.KnownField, "?");
+  Expected<std::string> Out = Again(Data + Bad.str());
+  ASSERT_FALSE(Out.ok());
+  EXPECT_EQ(Out.message().rfind("malformed ", 0), 0u) << Out.message();
+  EXPECT_NE(Out.message().find(" field " + std::to_string(C.KnownField)),
+            std::string::npos)
+      << Out.message();
+}
+
+std::string wireCaseName(const ::testing::TestParamInfo<WireCase> &Info) {
+  return Info.param.Name;
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryDecoder, WireBattery,
+                         ::testing::ValuesIn(wireCases()), wireCaseName);
 
 //===----------------------------------------------------------------------===//
 // Service end to end

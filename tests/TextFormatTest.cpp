@@ -97,6 +97,22 @@ TEST(TextFormat, DiagnosesErrorsWithLineNumbers) {
               "elided");
 }
 
+// makeConstant asserts on a payload that is not a power of two or exceeds
+// vec_size; a hostile listing must get a diagnostic instead (a Debug build
+// aborted here).
+TEST(TextFormat, RejectsMisshapenConstantPayloads) {
+  for (const char *Text : {"program p vec_size=4\n"
+                           "%0 = constant vector scale=10 [1, 2, 3]\n",
+                           "program p vec_size=2\n"
+                           "%0 = constant vector scale=10 [1, 2, 3, 4]\n"}) {
+    Expected<std::unique_ptr<Program>> Q = parseProgramText(Text);
+    ASSERT_FALSE(Q.ok()) << Text;
+    EXPECT_NE(Q.message().find("payload size"), std::string::npos)
+        << Q.message();
+    EXPECT_NE(Q.message().find("line 2"), std::string::npos) << Q.message();
+  }
+}
+
 TEST(TextFormat, ParsesElidedFreeListingOfRealPrograms) {
   // Whatever the compiler produces must print-and-parse losslessly,
   // including NormalizeScale's scale attribute and multi-output programs.

@@ -131,16 +131,24 @@ TEST(VerifierMutation, NonFiniteConstantRejected) {
   EXPECT_TRUE(mentions(S, "%" + std::to_string(C->id()))) << S.message();
 }
 
+// Two layers refuse a constant longer than vec_size: makeConstant asserts in
+// Debug builds, and the verifier rejects what a Release build admits.
 TEST(VerifierMutation, OversizedConstantPayloadRejected) {
   Program P(16);
+  std::vector<double> Oversized(32, 1.0); // > vec_size
+#ifndef NDEBUG
+  EXPECT_DEATH(P.makeConstant(Oversized, 30),
+               "constant size must be a power of two");
+#else
   Node *X = P.makeInput("x", ValueType::Cipher, 30);
-  Node *C = P.makeConstant(std::vector<double>(32, 1.0), 30); // > vec_size
+  Node *C = P.makeConstant(Oversized, 30);
   Node *M = P.makeInstruction(OpCode::Multiply, {X, C});
   P.makeOutput("out", M);
   Status S = verifyProgram(P);
   ASSERT_FALSE(S.ok());
   EXPECT_TRUE(mentions(S, "payload size")) << S.message();
   EXPECT_TRUE(mentions(S, "%" + std::to_string(C->id()))) << S.message();
+#endif
 }
 
 // --- Mutation class 6: un-normalized rotation step. ---
