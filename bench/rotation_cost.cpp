@@ -145,7 +145,7 @@ struct RunOutcome {
 RunOutcome runOnce(const CompiledProgram &CP,
                    std::shared_ptr<CkksWorkspace> WS,
                    const SealedInputs &Sealed, bool Hoisting) {
-  CkksExecutor Exec(CP, std::move(WS), Hoisting);
+  CkksExecutor Exec(CP, std::move(WS), /*NumThreads=*/1, Hoisting);
   Timer T;
   std::map<std::string, Ciphertext> Enc = Exec.run(Sealed);
   RunOutcome Out;

@@ -45,7 +45,7 @@ int main() {
                                    P.Net.inputHeight(), P.Net.inputWidth()},
                                   Rng);
     std::vector<double> Slots = imageSlots(P.Net, Image, P.Prog->vecSize());
-    std::unique_ptr<Runner> R = makeLocalRunner(P, LocalStyle::Serial, 1);
+    std::unique_ptr<Runner> R = makeLocalRunner(P, LocalStyle::ParallelDag, 1);
     // One full run; the runner's timing breakdown provides the encrypt and
     // (output) decrypt phases the table reports.
     Expected<Valuation> Out = R->run(Valuation().set("image", Slots));

@@ -12,11 +12,11 @@
 ///
 ///  * Runner::reference(P)     — the paper's Section 3 reference semantics
 ///                               (plaintext doubles, no encryption),
-///  * Runner::local(CP, Opts)  — encrypt/execute/decrypt in-process; the
-///                               thread count selects the serial or the
-///                               asynchronous-DAG parallel CKKS executor
-///                               (or the CHET-style bulk executor for
-///                               baseline measurements),
+///  * Runner::local(CP, Opts)  — encrypt/execute/decrypt in-process on the
+///                               asynchronous-DAG CKKS executor with
+///                               Opts.Threads execution contexts (or the
+///                               CHET-style bulk executor for baseline
+///                               measurements),
 ///  * Runner::remote(T, name)  — the full client loop against an
 ///                               encrypted-compute service over a Transport
 ///                               (socket or in-process).
@@ -45,16 +45,14 @@ class Transport; // see eva/service/Client.h
 
 /// Which local CKKS executor a local Runner schedules with.
 enum class LocalStyle {
-  Auto,        ///< Threads <= 1 -> Serial, otherwise ParallelDag.
-  Serial,      ///< CkksExecutor: sequential baseline.
-  ParallelDag, ///< ParallelCkksExecutor: the paper's EVA executor.
+  ParallelDag, ///< CkksExecutor: the paper's EVA executor (any thread count).
   KernelBulk,  ///< KernelBulkCkksExecutor: the CHET-style baseline.
 };
 
 struct LocalRunnerOptions {
   /// Total execution contexts (the calling thread participates).
   size_t Threads = 1;
-  LocalStyle Style = LocalStyle::Auto;
+  LocalStyle Style = LocalStyle::ParallelDag;
   /// Consume the compiled RotationPlan: rotations sharing a source share
   /// one key-switch decomposition (bit-identical outputs; see
   /// executionStats() for the decomposition counts). Off reproduces the

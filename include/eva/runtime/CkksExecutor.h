@@ -5,27 +5,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs compiled EVA programs against the CKKS backend. Three executors
-/// share one instruction dispatcher:
+/// Runs compiled EVA programs against the CKKS backend. Two executors
+/// share one instruction dispatcher and one live-ciphertext accounting:
 ///
-///  * CkksExecutor — sequential baseline.
-///  * ParallelCkksExecutor — the paper's EVA executor (Section 6.1):
-///    asynchronous DAG scheduling over a thread pool with
-///    dependency-counting readiness, plus retire-based memory reuse
-///    (a node's ciphertext is released once its last child has consumed it).
+///  * CkksExecutor — the paper's EVA executor (Section 6.1): asynchronous
+///    DAG scheduling over a thread pool with dependency-counting
+///    readiness, plus retire-based memory reuse (a node's ciphertext is
+///    released once its last child has consumed it). With one thread it
+///    spawns no workers and runs the whole DAG on the calling thread.
 ///  * KernelBulkCkksExecutor — the CHET-style baseline: bulk-synchronous
 ///    parallelism inside each frontend-tagged kernel with barriers between
 ///    kernels (the paper's "static, bulk-synchronous schedule limits the
-///    available parallelism", Section 8.2).
+///    available parallelism", Section 8.2). It never retires ciphertexts.
 ///
-/// Both parallel executors are cooperative: the thread that calls run()
-/// participates in the schedule (executing ready nodes or loop chunks)
-/// instead of sleeping, so an executor built with NumThreads = k uses
-/// exactly k execution contexts. They also own a limb-parallel Evaluator
-/// wired to the same pool, so when the DAG (or a kernel wavefront) is
-/// narrower than the worker count, idle workers pick up per-prime limb
-/// chunks of the CKKS ops in flight instead of idling — the two levels of
-/// parallelism compose.
+/// Both are cooperative: the thread that calls run() participates in the
+/// schedule (executing ready nodes or loop chunks) instead of sleeping, so
+/// an executor built with NumThreads = k uses exactly k execution
+/// contexts. Each executor owns a limb-parallel Evaluator wired to its
+/// pool, so when the DAG (or a kernel wavefront) is narrower than the
+/// worker count, idle workers pick up per-prime limb chunks of the CKKS ops
+/// in flight instead of idling — the two levels of parallelism compose.
+/// Its operation counters are the executor's own, so executors sharing one
+/// workspace never see each other's counts.
 ///
 /// Scale handling refines footnote 1 of the paper: instead of pretending
 /// each RESCALE divides by 2^bits, the executor tracks the actual
@@ -48,17 +49,20 @@
 #include "eva/support/ThreadAnnotations.h"
 #include "eva/support/ThreadPool.h"
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
 namespace eva {
 
 /// The "encryption context" of Table 7: parameters, keys, and the
-/// encoder/encryptor/decryptor/evaluator stack for one compiled program.
+/// encoder/encryptor/decryptor stack for one compiled program. Evaluators
+/// belong to the executors, not to the workspace.
 ///
 /// Two flavours exist. create() is the fused client+server workspace used
 /// when one process owns everything (tests, benches, the examples).
@@ -103,7 +107,6 @@ public:
   GaloisKeys Gk;
   std::unique_ptr<Encryptor> Enc;
   std::unique_ptr<Decryptor> Dec;
-  std::unique_ptr<Evaluator> Eval;
 };
 
 /// Named runtime inputs: Cipher inputs are encrypted; Vector/Scalar inputs
@@ -122,16 +125,27 @@ struct ExecutionStats : EvaluatorCounters {
   size_t PeakLiveNodes = 0;
 };
 
+/// The paper's EVA executor: asynchronous DAG scheduling + memory reuse.
+/// run()'s caller cooperates in the schedule, so NumThreads is the total
+/// number of execution contexts (NumThreads == 1 runs everything on the
+/// calling thread through the same scheduler; 0 means hardware
+/// concurrency).
 class CkksExecutor {
 public:
   /// \p UseHoisting consumes the compiled program's RotationPlan: rotations
   /// sharing a source are evaluated as one rotateHoisted batch (bit-identical
-  /// to the serial path). Off reproduces the one-decomposition-per-rotation
-  /// baseline for A/B measurement.
+  /// to one rotation at a time). Off reproduces the
+  /// one-decomposition-per-rotation baseline for A/B measurement.
   CkksExecutor(const CompiledProgram &CP, std::shared_ptr<CkksWorkspace> WS,
-               bool UseHoisting = true)
-      : CP(CP), P(*CP.Prog), WS(std::move(WS)),
-        ActiveEval(this->WS->Eval.get()), UseHoisting(UseHoisting) {}
+               size_t NumThreads = 1, bool UseHoisting = true)
+      : CP(CP), P(*CP.Prog), WS(std::move(WS)), UseHoisting(UseHoisting),
+        Pool(NumThreads), LimbEval(this->WS->Context, &Pool) {}
+  /// A bool in the thread-count position is a hoisting flag in the wrong
+  /// place (false would mean hardware concurrency); reject it at compile
+  /// time.
+  template <typename T, typename = std::enable_if_t<std::is_same_v<T, bool>>>
+  CkksExecutor(const CompiledProgram &, std::shared_ptr<CkksWorkspace>, T,
+               bool = true) = delete;
   virtual ~CkksExecutor() = default;
 
   /// Encrypts the Cipher inputs (at each input node's scale, over the full
@@ -159,11 +173,15 @@ protected:
     bool isCipher() const { return Ct.has_value(); }
   };
 
-  /// Computes node \p N given its parents' values in \p Values. Thread-safe
-  /// across distinct nodes.
+  /// Computes node \p N given its parents' values in \p Values and counts
+  /// the ciphertext it produces as live. Thread-safe across distinct nodes.
   void computeNode(const Node *N, std::vector<Value> &Values,
                    const SealedInputs &Inputs,
-                   std::map<std::string, Ciphertext> &Outputs) const;
+                   std::map<std::string, Ciphertext> &Outputs);
+
+  /// Releases \p V's ciphertext (its last consumer ran) and drops it from
+  /// the live set.
+  void retire(Value &V);
 
   /// Encodes a plain value for consumption by a cipher op at the given
   /// level and scale.
@@ -179,8 +197,8 @@ protected:
 
   /// Per-run state of one hoist batch. The first member to execute computes
   /// the whole batch under the group mutex (all members are ready the moment
-  /// the shared source is, so in the parallel executors several may race
-  /// here); the rest collect their precomputed ciphertexts.
+  /// the shared source is, so several may race here); the rest collect
+  /// their precomputed ciphertexts.
   struct HoistGroupState {
     Mutex M;
     bool Done EVA_GUARDED_BY(M) = false;
@@ -188,77 +206,55 @@ protected:
     std::map<uint64_t, Ciphertext> Results EVA_GUARDED_BY(M);
   };
 
-  /// Resets statistics and evaluator counters and materializes the hoist
-  /// state; every run() implementation calls this first.
+  /// The ciphertexts alive at one moment of a run, for the memory-reuse
+  /// stats (Section 6.1). A hoist batch's rotated ciphertexts join when the
+  /// batch is computed, parked outside the Values table until their member
+  /// nodes collect them; retire() removes a ciphertext.
+  struct LiveSet {
+    std::atomic<size_t> Bytes{0}, Nodes{0}, PeakBytes{0}, PeakNodes{0};
+    /// Adds to the live set and raises the peaks to match.
+    void add(size_t AddBytes, size_t AddNodes);
+  };
+
+  /// Resets statistics, the live set and evaluator counters and
+  /// materializes the hoist state; every run() implementation calls this
+  /// first.
   void beginRun();
-  /// Copies the evaluator counters of this run into Stats.
+  /// Copies the evaluator counters and live-set peaks of this run into
+  /// Stats.
   void finishRun();
 
   const CompiledProgram &CP;
   const Program &P;
   std::shared_ptr<CkksWorkspace> WS;
-  /// The evaluator computeNode dispatches to: the workspace's shared serial
-  /// evaluator by default; parallel executors point it at their own
-  /// limb-parallel instance.
-  const Evaluator *ActiveEval;
   bool UseHoisting = true;
-  /// One entry per RotationPlan group, rebuilt by beginRun(); mutable
-  /// because computeNode (const, called concurrently for distinct nodes)
-  /// drains the per-group results.
-  mutable std::vector<std::unique_ptr<HoistGroupState>> HoistState;
-  /// Bytes/nodes currently parked in HoistGroupState::Results — rotated
-  /// ciphertexts a batch produced that their member nodes have not yet
-  /// collected. Folded into the PeakLiveBytes/PeakLiveNodes accounting so
-  /// the memory-reuse stats stay honest under hoisting.
-  mutable std::atomic<size_t> HoistStashBytes{0};
-  mutable std::atomic<size_t> HoistStashNodes{0};
-  ExecutionStats Stats;
-  /// Leaf lock: serializes Output-node writes into the result map when the
-  /// parallel executor retires several output nodes at once. The map itself
-  /// is a computeNode parameter, so the guard is the lock contract on that
-  /// one critical section rather than a GUARDED_BY on a member.
-  mutable Mutex OutputMutex;
-};
-
-/// The paper's EVA executor: asynchronous DAG scheduling + memory reuse.
-/// run()'s caller cooperates in the schedule, so NumThreads is the total
-/// number of execution contexts (NumThreads == 1 runs everything on the
-/// calling thread through the same scheduler).
-class ParallelCkksExecutor : public CkksExecutor {
-public:
-  ParallelCkksExecutor(const CompiledProgram &CP,
-                       std::shared_ptr<CkksWorkspace> WS, size_t NumThreads,
-                       bool UseHoisting = true)
-      : CkksExecutor(CP, std::move(WS), UseHoisting), Pool(NumThreads),
-        LimbEval(this->WS->Context, &Pool) {
-    ActiveEval = &LimbEval;
-  }
-
-  std::map<std::string, Ciphertext> run(const SealedInputs &Inputs) override;
-
-private:
   ThreadPool Pool;
+  /// This executor's evaluator: limb-parallel over Pool, with counters no
+  /// other executor touches.
   Evaluator LimbEval;
+  /// One entry per RotationPlan group, rebuilt by beginRun().
+  std::vector<std::unique_ptr<HoistGroupState>> HoistState;
+  LiveSet Live;
+  ExecutionStats Stats;
+  /// Leaf lock: serializes Output-node writes into the result map when
+  /// several output nodes finish at once. The map itself is a computeNode
+  /// parameter, so the guard is the lock contract on that one critical
+  /// section rather than a GUARDED_BY on a member.
+  Mutex OutputMutex;
 };
+
+/// The paper's parallel EVA executor is CkksExecutor; this name selects it
+/// too.
+using ParallelCkksExecutor = CkksExecutor;
 
 /// The CHET-style executor: kernels in sequence, bulk-synchronous wavefront
 /// parallelism within each kernel. The caller participates in each
 /// wavefront's parallelFor, so NumThreads is again the total context count.
 class KernelBulkCkksExecutor : public CkksExecutor {
 public:
-  KernelBulkCkksExecutor(const CompiledProgram &CP,
-                         std::shared_ptr<CkksWorkspace> WS, size_t NumThreads,
-                         bool UseHoisting = true)
-      : CkksExecutor(CP, std::move(WS), UseHoisting), Pool(NumThreads),
-        LimbEval(this->WS->Context, &Pool) {
-    ActiveEval = &LimbEval;
-  }
+  using CkksExecutor::CkksExecutor;
 
   std::map<std::string, Ciphertext> run(const SealedInputs &Inputs) override;
-
-private:
-  ThreadPool Pool;
-  Evaluator LimbEval;
 };
 
 } // namespace eva

@@ -126,8 +126,9 @@ struct AuditReplayResult {
 /// hashes byte-for-byte: rebuilds the client crypto stack from \p KeySeed
 /// (exactly as ServiceClient::openSession does), re-encrypts \p Inputs in
 /// signature order, serializes them seed-compressed (the input hash),
-/// executes \p CP with the serial executor (bit-identical to the server's
-/// parallel one), and serializes the outputs (the output hash). \p CP must
+/// executes \p CP on the server's DAG executor with one thread
+/// (bit-identical at any thread count), and serializes the outputs (the
+/// output hash). \p CP must
 /// be the same compiled program the server registered — compile the same
 /// .evabin with the same options.
 Expected<AuditReplayResult>

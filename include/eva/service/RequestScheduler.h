@@ -11,10 +11,11 @@
 /// from many tenants amortize scheduling overhead; each drain claims at
 /// most a fair share of the queue (ceil(depth / workers), capped at
 /// MaxBatch), so requests of different sessions run concurrently across
-/// workers while a per-session mutex keeps each tenant's requests ordered. Inside a request, the session's
-/// ParallelCkksExecutor schedules the instruction DAG over its cooperative
-/// thread pool — the scheduler worker participates in that schedule rather
-/// than blocking (PR-2's threading model). A bounded queue provides
+/// workers while a per-session mutex keeps each tenant's requests ordered.
+/// Inside a request, the session's CkksExecutor schedules the instruction
+/// DAG over its cooperative thread pool — the scheduler worker participates
+/// in that schedule rather than blocking (with one execution thread it is
+/// the only thread that runs the request's nodes). A bounded queue provides
 /// backpressure: submissions beyond MaxQueueDepth are rejected outright
 /// rather than accepted into an unbounded backlog.
 ///

@@ -10,9 +10,10 @@
 /// encoder, and the client-supplied relinearization/Galois keys; the secret
 /// key exists solely on the client (CkksWorkspace::createServer leaves the
 /// key generator, encryptor, and decryptor null). Each session owns a
-/// ParallelCkksExecutor whose cooperative thread pool executes that
-/// client's requests; a per-session mutex serializes them, while different
-/// sessions run concurrently under the RequestScheduler.
+/// DAG-scheduling CkksExecutor whose cooperative thread pool (and evaluator
+/// counters) belong to that client's requests alone; a per-session mutex
+/// serializes them, while different sessions run concurrently under the
+/// RequestScheduler.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +36,7 @@ public:
   /// The session executes through the same api/Runner every other caller
   /// uses, in cipher-in/cipher-out mode: the evaluation-only workspace has
   /// no decryptor, so the runner validates the request against the typed
-  /// program signature, schedules it on the parallel executor, and hands
+  /// program signature, schedules it on the DAG executor, and hands
   /// the output ciphertexts back.
   Session(uint64_t Id, std::shared_ptr<const RegisteredProgram> Prog,
           std::shared_ptr<CkksWorkspace> WS, size_t ExecThreads,

@@ -8,7 +8,8 @@
 /// A fixed-size cooperative worker pool. The paper's executor uses the
 /// Galois parallel library to schedule the instruction DAG asynchronously;
 /// this pool plus the dependency-counting scheduler in
-/// eva/runtime/CkksExecutor.cpp plays that role. parallelFor /
+/// eva/runtime/CkksExecutor.cpp plays that role (a pool of size 1 makes
+/// that scheduler a sequential one, with no thread spawned). parallelFor /
 /// parallelForChunks provide the bulk-synchronous (OpenMP-like) schedule the
 /// CHET baseline executor uses within each kernel, and the limb-level
 /// parallelism the Evaluator uses inside a single CKKS operation.

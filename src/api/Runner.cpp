@@ -65,10 +65,16 @@ private:
 // Local CKKS backend
 //===----------------------------------------------------------------------===//
 
-class LocalRunner;
-std::unique_ptr<CkksExecutor> makeExecutor(const CompiledProgram &CP,
-                                           std::shared_ptr<CkksWorkspace> WS,
-                                           const LocalRunnerOptions &Opts);
+std::unique_ptr<CkksExecutor>
+makeExecutor(const CompiledProgram &CP, std::shared_ptr<CkksWorkspace> WS,
+             const LocalRunnerOptions &Opts) {
+  size_t Threads = std::max<size_t>(1, Opts.Threads);
+  if (Opts.Style == LocalStyle::KernelBulk)
+    return std::make_unique<KernelBulkCkksExecutor>(CP, std::move(WS),
+                                                    Threads, Opts.Hoisting);
+  return std::make_unique<CkksExecutor>(CP, std::move(WS), Threads,
+                                        Opts.Hoisting);
+}
 
 class LocalRunner final : public Runner {
 public:
@@ -151,25 +157,6 @@ private:
   ProgramSignature Sig;
   Timing LastTiming;
 };
-
-std::unique_ptr<CkksExecutor>
-makeExecutor(const CompiledProgram &CP, std::shared_ptr<CkksWorkspace> WS,
-             const LocalRunnerOptions &Opts) {
-  LocalStyle Style = Opts.Style;
-  if (Style == LocalStyle::Auto)
-    Style = Opts.Threads <= 1 ? LocalStyle::Serial : LocalStyle::ParallelDag;
-  size_t Threads = std::max<size_t>(1, Opts.Threads);
-  switch (Style) {
-  case LocalStyle::Serial:
-    return std::make_unique<CkksExecutor>(CP, std::move(WS), Opts.Hoisting);
-  case LocalStyle::KernelBulk:
-    return std::make_unique<KernelBulkCkksExecutor>(CP, std::move(WS),
-                                                    Threads, Opts.Hoisting);
-  default:
-    return std::make_unique<ParallelCkksExecutor>(CP, std::move(WS), Threads,
-                                                  Opts.Hoisting);
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Remote backend

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
 
 using namespace eva;
 
@@ -37,7 +36,6 @@ CkksWorkspace::create(const CompiledProgram &CP, uint64_t Seed) {
       std::set<uint64_t>(CP.RotationSteps.begin(), CP.RotationSteps.end()));
   WS->Enc = std::make_unique<Encryptor>(WS->Context, WS->Pk, Seed + 1);
   WS->Dec = std::make_unique<Decryptor>(WS->Context, WS->KeyGen->secretKey());
-  WS->Eval = std::make_unique<Evaluator>(WS->Context);
   return WS;
 }
 
@@ -67,7 +65,6 @@ CkksWorkspace::createServer(const CompiledProgram &CP,
   WS->Encoder = std::make_unique<CkksEncoder>(WS->Context);
   WS->Rk = std::move(RkIn);
   WS->Gk = std::move(GkIn);
-  WS->Eval = std::make_unique<Evaluator>(WS->Context);
   return WS;
 }
 
@@ -100,7 +97,6 @@ CkksWorkspace::createClient(const CompiledProgram &CP, uint64_t Seed,
     WS->Rk = WS->KeyGen->createRelinKeys();
   WS->Gk = WS->KeyGen->createGaloisKeys(
       std::set<uint64_t>(CP.RotationSteps.begin(), CP.RotationSteps.end()));
-  WS->Eval = std::make_unique<Evaluator>(WS->Context);
   return WS;
 }
 
@@ -167,12 +163,29 @@ uint64_t CkksExecutor::normalizedLeftSteps(const Node *N) const {
   return eva::normalizedLeftSteps(N, P.vecSize());
 }
 
+void CkksExecutor::LiveSet::add(size_t AddBytes, size_t AddNodes) {
+  auto RaiseToAtLeast = [](std::atomic<size_t> &Peak, size_t Current) {
+    size_t Prev = Peak.load();
+    while (Current > Prev && !Peak.compare_exchange_weak(Prev, Current))
+      ;
+  };
+  RaiseToAtLeast(PeakBytes, Bytes.fetch_add(AddBytes) + AddBytes);
+  RaiseToAtLeast(PeakNodes, Nodes.fetch_add(AddNodes) + AddNodes);
+}
+
+void CkksExecutor::retire(Value &V) {
+  if (!V.isCipher())
+    return;
+  Live.Bytes.fetch_sub(V.Ct->memoryBytes());
+  Live.Nodes.fetch_sub(1);
+  V.Ct.reset();
+}
+
 void CkksExecutor::beginRun() {
   Stats = ExecutionStats();
   Stats.TotalNodeCount = P.nodeCount();
-  ActiveEval->resetCounters();
-  HoistStashBytes.store(0);
-  HoistStashNodes.store(0);
+  LimbEval.resetCounters();
+  Live.Bytes = Live.Nodes = Live.PeakBytes = Live.PeakNodes = 0;
   HoistState.clear();
   if (UseHoisting)
     for (size_t I = 0; I < CP.RotPlan.Groups.size(); ++I)
@@ -180,16 +193,17 @@ void CkksExecutor::beginRun() {
 }
 
 void CkksExecutor::finishRun() {
-  static_cast<EvaluatorCounters &>(Stats) = ActiveEval->counters();
+  static_cast<EvaluatorCounters &>(Stats) = LimbEval.counters();
+  Stats.PeakLiveBytes = Live.PeakBytes.load();
+  Stats.PeakLiveNodes = Live.PeakNodes.load();
   HoistState.clear();
 }
 
 void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
                                const SealedInputs &Inputs,
-                               std::map<std::string, Ciphertext> &Outputs)
-    const {
+                               std::map<std::string, Ciphertext> &Outputs) {
   Value &Slot = Values[N->id()];
-  const Evaluator &E = *ActiveEval;
+  const Evaluator &E = LimbEval;
 
   // Plain-typed nodes are views onto plain vectors; no work at run time.
   if (N->isPlain() && N->op() != OpCode::Output) {
@@ -285,8 +299,8 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
     // Hoist batch: whichever member executes first computes every rotation
     // of the shared source against one key-switch decomposition; the others
     // pick up their precomputed ciphertexts. Results are bit-identical to
-    // the serial path (see Evaluator::rotateHoisted), so schedules with and
-    // without hoisting decrypt to the same bits.
+    // one rotateLeft per member (see Evaluator::rotateHoisted), so schedules
+    // with and without hoisting decrypt to the same bits.
     const RotationPlan::HoistGroup &G = CP.RotPlan.Groups[GIt->second];
     HoistGroupState &St = *HoistState[GIt->second];
     LockGuard Lock(St.M);
@@ -303,8 +317,7 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
       // The whole batch is live from this moment; members that have not
       // executed yet hold their results here, outside the Values table, so
       // the peak-memory accounting must see them too.
-      HoistStashBytes.fetch_add(StashBytes);
-      HoistStashNodes.fetch_add(G.Members.size());
+      Live.add(StashBytes, G.Members.size());
       St.Done = true;
     }
     auto RIt = St.Results.find(N->id());
@@ -312,11 +325,11 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
       fatalError("hoist batch has no result for node @" +
                  std::to_string(N->id()) + ": node executed twice or the "
                  "rotation plan does not match the program");
-    HoistStashBytes.fetch_sub(RIt->second.memoryBytes());
-    HoistStashNodes.fetch_sub(1);
+    // Already live since the batch was computed: moving it into the Values
+    // table does not change the live set.
     Slot.Ct = std::move(RIt->second);
     St.Results.erase(RIt);
-    break;
+    return;
   }
   case OpCode::Relinearize:
     Slot.Ct = E.relinearize(CipherOf(N->parm(0)), WS->Rk);
@@ -336,41 +349,9 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
   // consumed the same primes, so their actual scales agree exactly — this
   // strengthens the paper's footnote-1 adjustment (which treats RESCALE as
   // division by 2^bits and accepts a small multiplicative bias per prime).
-}
 
-std::map<std::string, Ciphertext>
-CkksExecutor::run(const SealedInputs &Inputs) {
-  std::vector<Value> Values(P.maxNodeId());
-  std::vector<size_t> PendingUses(P.maxNodeId(), 0);
-  std::map<std::string, Ciphertext> Outputs;
-  beginRun();
-
-  size_t LiveBytes = 0;
-  size_t LiveNodes = 0;
-  for (const Node *N : P.forwardOrder()) {
-    computeNode(N, Values, Inputs, Outputs);
-    PendingUses[N->id()] = N->uses().size();
-    if (Values[N->id()].isCipher()) {
-      LiveBytes += Values[N->id()].Ct->memoryBytes();
-      ++LiveNodes;
-      // Hoist-batch results still parked in HoistState count as live.
-      Stats.PeakLiveBytes = std::max(Stats.PeakLiveBytes,
-                                     LiveBytes + HoistStashBytes.load());
-      Stats.PeakLiveNodes = std::max(Stats.PeakLiveNodes,
-                                     LiveNodes + HoistStashNodes.load());
-    }
-    // Retire parents whose last child just consumed them (Section 6.1's
-    // memory reuse).
-    for (const Node *Parm : N->parms()) {
-      if (--PendingUses[Parm->id()] == 0 && Values[Parm->id()].isCipher()) {
-        LiveBytes -= Values[Parm->id()].Ct->memoryBytes();
-        --LiveNodes;
-        Values[Parm->id()].Ct.reset();
-      }
-    }
-  }
-  finishRun();
-  return Outputs;
+  // The new ciphertext stays live until its last consumer retires it.
+  Live.add(Slot.Ct->memoryBytes(), 1);
 }
 
 std::map<std::string, std::vector<double>> CkksExecutor::runPlain(
@@ -384,7 +365,7 @@ std::map<std::string, std::vector<double>> CkksExecutor::runPlain(
 }
 
 std::map<std::string, Ciphertext>
-ParallelCkksExecutor::run(const SealedInputs &Inputs) {
+CkksExecutor::run(const SealedInputs &Inputs) {
   std::vector<Value> Values(P.maxNodeId());
   std::map<std::string, Ciphertext> Outputs;
   beginRun();
@@ -396,40 +377,18 @@ ParallelCkksExecutor::run(const SealedInputs &Inputs) {
     Deps[N->id()].store(static_cast<int>(N->parmCount()));
     Pending[N->id()].store(static_cast<int>(N->uses().size()));
   }
-
   std::atomic<size_t> Remaining(Order.size());
-  std::atomic<size_t> LiveBytes(0);
-  std::atomic<size_t> PeakBytes(0);
-  std::atomic<size_t> LiveNodes(0);
-  std::atomic<size_t> PeakNodes(0);
-
-  auto RaiseToAtLeast = [](std::atomic<size_t> &Peak, size_t Current) {
-    size_t Prev = Peak.load();
-    while (Current > Prev && !Peak.compare_exchange_weak(Prev, Current))
-      ;
-  };
 
   // The scheduler: a node is ready (active) when all parents are computed;
   // finishing a node may ready its children, which are submitted
   // immediately — the asynchronous schedule of Section 6.1.
   std::function<void(Node *)> Execute = [&](Node *N) {
     computeNode(N, Values, Inputs, Outputs);
-    if (Values[N->id()].isCipher()) {
-      size_t Bytes = Values[N->id()].Ct->memoryBytes();
-      // Hoist-batch results still parked in HoistState count as live.
-      RaiseToAtLeast(PeakBytes, LiveBytes.fetch_add(Bytes) + Bytes +
-                                    HoistStashBytes.load());
-      RaiseToAtLeast(PeakNodes,
-                     LiveNodes.fetch_add(1) + 1 + HoistStashNodes.load());
-    }
-    for (const Node *Parm : N->parms()) {
-      if (Pending[Parm->id()].fetch_sub(1) == 1 &&
-          Values[Parm->id()].isCipher()) {
-        LiveBytes.fetch_sub(Values[Parm->id()].Ct->memoryBytes());
-        LiveNodes.fetch_sub(1);
-        Values[Parm->id()].Ct.reset();
-      }
-    }
+    // Retire parents whose last child just consumed them (Section 6.1's
+    // memory reuse).
+    for (const Node *Parm : N->parms())
+      if (Pending[Parm->id()].fetch_sub(1) == 1)
+        retire(Values[Parm->id()]);
     for (Node *C : N->uses()) {
       if (Deps[C->id()].fetch_sub(1) == 1)
         Pool.submit([&, C] { Execute(C); });
@@ -448,8 +407,6 @@ ParallelCkksExecutor::run(const SealedInputs &Inputs) {
   Pool.helpUntil([&] { return Remaining.load() == 0; });
   // Drain workers so no task still references this frame's state.
   Pool.waitIdle();
-  Stats.PeakLiveBytes = PeakBytes.load();
-  Stats.PeakLiveNodes = PeakNodes.load();
   finishRun();
   return Outputs;
 }
@@ -462,6 +419,8 @@ KernelBulkCkksExecutor::run(const SealedInputs &Inputs) {
 
   // Chunk the topological order at kernel boundaries; each chunk executes
   // bulk-synchronously (wavefronts with barriers), chunks run in sequence.
+  // Like CHET, this schedule never retires a ciphertext, so its live set
+  // (and PeakLive*) only grows.
   std::vector<Node *> Order = P.forwardOrder();
   std::vector<int> Done(P.maxNodeId(), 0);
   size_t I = 0;

@@ -292,10 +292,10 @@ eva::auditReplay(const AuditRecord &R, const CompiledProgram &CP,
   Out.InputsHash = auditHashInputs(CipherBytes, PlainValues);
   Out.InputsMatch = Out.InputsHash == R.InputsHash;
 
-  // The serial executor with hoisting is bit-identical to the server's
-  // parallel-DAG executor (the PR-2 determinism contract), so the output
-  // ciphertext bytes must match exactly.
-  CkksExecutor Exec(CP, *WS, /*UseHoisting=*/true);
+  // The replay runs the server's DAG executor on one thread with hoisting;
+  // every schedule and thread count of it produces bit-identical
+  // ciphertexts, so the output bytes must match exactly.
+  CkksExecutor Exec(CP, *WS, /*NumThreads=*/1, /*UseHoisting=*/true);
   std::map<std::string, Ciphertext> Cts = Exec.run(Sealed);
   std::vector<std::pair<std::string, std::string>> OutputBytes;
   for (const auto &[Name, Ct] : Cts)

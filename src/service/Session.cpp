@@ -36,7 +36,6 @@ Session::Session(uint64_t IdIn, std::shared_ptr<const RegisteredProgram> ProgIn,
       Metrics(MetricsIn) {
   LocalRunnerOptions Opts;
   Opts.Threads = ExecThreads;
-  Opts.Style = LocalStyle::ParallelDag;
   // The registered program outlives the session (shared_ptr member), and
   // the workspace was validated by createServer, so this cannot fail.
   Exec = std::move(Runner::local(Prog->CP, WS, Opts).value());

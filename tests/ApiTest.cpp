@@ -10,8 +10,9 @@
 /// validation diagnostics (missing/extra/misnamed inputs, wrong lengths,
 /// non-finite values, wrong ciphertext scale/level), and the backend
 /// interchangeability guarantee — the same program and inputs produce
-/// bit-identical outputs on the local serial, local parallel, and remote
-/// service backends (reference agrees within the CKKS error bound).
+/// bit-identical outputs on the local DAG executor at one and two threads,
+/// the local kernel-bulk executor, and the remote service backend
+/// (reference agrees within the CKKS error bound).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -298,12 +299,13 @@ TEST(Runner, ThreeCkksBackendsAreBitIdenticalAndReferenceIsClose) {
   Valuation Inputs = Valuation().set("x", ramp(64, 0.5)).set("w", 0.5);
   constexpr uint64_t Seed = 2024;
 
-  auto MakeLocal = [&](size_t Threads, LocalStyle Style) {
+  auto MakeLocal = [&](size_t Threads, bool Bulk) {
     Expected<CompiledProgram> CP = compile(*P);
     EXPECT_TRUE(CP.ok());
-    LocalRunnerOptions Opts;
+    LocalRunnerOptions Opts; // default style: the DAG executor
     Opts.Threads = Threads;
-    Opts.Style = Style;
+    if (Bulk)
+      Opts.Style = LocalStyle::KernelBulk;
     Opts.Seed = Seed;
     Opts.ReproducibleSeeds = true;
     Expected<std::unique_ptr<Runner>> R =
@@ -312,9 +314,9 @@ TEST(Runner, ThreeCkksBackendsAreBitIdenticalAndReferenceIsClose) {
     return std::move(R.value());
   };
 
-  std::unique_ptr<Runner> Serial = MakeLocal(1, LocalStyle::Auto);
-  std::unique_ptr<Runner> Parallel = MakeLocal(2, LocalStyle::Auto);
-  std::unique_ptr<Runner> Bulk = MakeLocal(2, LocalStyle::KernelBulk);
+  std::unique_ptr<Runner> OneThread = MakeLocal(1, false);
+  std::unique_ptr<Runner> Parallel = MakeLocal(2, false);
+  std::unique_ptr<Runner> Bulk = MakeLocal(2, true);
 
   // The remote backend over the full serialized-message path.
   Service Svc;
@@ -327,11 +329,11 @@ TEST(Runner, ThreeCkksBackendsAreBitIdenticalAndReferenceIsClose) {
       Runner::remote(T, "api_demo", RO);
   ASSERT_TRUE(Remote.ok()) << Remote.message();
 
-  Expected<Valuation> SerialOut = Serial->run(Inputs);
+  Expected<Valuation> OneThreadOut = OneThread->run(Inputs);
   Expected<Valuation> ParallelOut = Parallel->run(Inputs);
   Expected<Valuation> BulkOut = Bulk->run(Inputs);
   Expected<Valuation> RemoteOut = (*Remote)->run(Inputs);
-  ASSERT_TRUE(SerialOut.ok()) << SerialOut.message();
+  ASSERT_TRUE(OneThreadOut.ok()) << OneThreadOut.message();
   ASSERT_TRUE(ParallelOut.ok()) << ParallelOut.message();
   ASSERT_TRUE(BulkOut.ok()) << BulkOut.message();
   ASSERT_TRUE(RemoteOut.ok()) << RemoteOut.message();
@@ -341,7 +343,7 @@ TEST(Runner, ThreeCkksBackendsAreBitIdenticalAndReferenceIsClose) {
   ASSERT_TRUE(RefOut.ok()) << RefOut.message();
 
   for (const char *Name : {"out", "sum"}) {
-    const std::vector<double> &S = SerialOut->vector(Name);
+    const std::vector<double> &S = OneThreadOut->vector(Name);
     ASSERT_EQ(S.size(), 64u);
     // Bit-identical across the CKKS backends: same keys, same input
     // ciphertexts (reproducible seeds), same arithmetic.
@@ -355,9 +357,9 @@ TEST(Runner, ThreeCkksBackendsAreBitIdenticalAndReferenceIsClose) {
   }
 
   // Timing/stats accessors carry the phases benches report.
-  EXPECT_GT(Serial->lastTiming().ComputeSeconds, 0.0);
-  ASSERT_NE(Serial->executionStats(), nullptr);
-  EXPECT_GT(Serial->executionStats()->TotalNodeCount, 0u);
+  EXPECT_GT(OneThread->lastTiming().ComputeSeconds, 0.0);
+  ASSERT_NE(OneThread->executionStats(), nullptr);
+  EXPECT_GT(OneThread->executionStats()->TotalNodeCount, 0u);
 }
 
 TEST(Runner, PreEncryptedCipherInputsAreAccepted) {

@@ -200,7 +200,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EagerVsLazy, ::testing::Range<uint64_t>(1, 11));
 
 class ExecutorAgreement : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ExecutorAgreement, ParallelAndBulkMatchSerial) {
+TEST_P(ExecutorAgreement, ThreadCountsAndBulkAreBitIdentical) {
   uint64_t Seed = GetParam();
   std::unique_ptr<Program> P = randomProgram(Seed, 64, 25);
   Expected<CompiledProgram> CP = compile(*P);
@@ -211,18 +211,18 @@ TEST_P(ExecutorAgreement, ParallelAndBulkMatchSerial) {
   std::map<std::string, std::vector<double>> Inputs =
       randomInputs(*P, Seed + 2);
 
-  CkksExecutor Serial(*CP, WS.value());
-  ParallelCkksExecutor Parallel(*CP, WS.value(), 2);
+  CkksExecutor Dag1(*CP, WS.value(), 1);
+  CkksExecutor Dag2(*CP, WS.value(), 2);
   KernelBulkCkksExecutor Bulk(*CP, WS.value(), 2);
-  SealedInputs Sealed = Serial.encryptInputs(Inputs);
+  SealedInputs Sealed = Dag1.encryptInputs(Inputs);
 
-  std::map<std::string, Ciphertext> A = Serial.run(Sealed);
-  std::map<std::string, Ciphertext> B = Parallel.run(Sealed);
+  std::map<std::string, Ciphertext> A = Dag1.run(Sealed);
+  std::map<std::string, Ciphertext> B = Dag2.run(Sealed);
   std::map<std::string, Ciphertext> C = Bulk.run(Sealed);
   for (const auto &[Name, CtA] : A) {
-    std::vector<double> VA = Serial.decryptOutput(CtA);
-    std::vector<double> VB = Serial.decryptOutput(B.at(Name));
-    std::vector<double> VC = Serial.decryptOutput(C.at(Name));
+    std::vector<double> VA = Dag1.decryptOutput(CtA);
+    std::vector<double> VB = Dag1.decryptOutput(B.at(Name));
+    std::vector<double> VC = Dag1.decryptOutput(C.at(Name));
     for (size_t I = 0; I < VA.size(); ++I) {
       // Identical instruction streams on identical inputs: results are
       // bit-identical regardless of schedule.
@@ -327,8 +327,8 @@ TEST_P(RotationDifferential, HoistingAndBackendsAreBitIdentical) {
     bool Hoist;
   };
   const Cfg Cfgs[] = {
-      {"serial+hoist", LocalStyle::Serial, 1, true},
-      {"serial", LocalStyle::Serial, 1, false},
+      {"parallel1+hoist", LocalStyle::ParallelDag, 1, true},
+      {"parallel1", LocalStyle::ParallelDag, 1, false},
       {"parallel+hoist", LocalStyle::ParallelDag, 3, true},
       {"parallel", LocalStyle::ParallelDag, 3, false},
       {"bulk+hoist", LocalStyle::KernelBulk, 2, true},

@@ -23,6 +23,7 @@
 
 #include <cmath>
 #include <thread>
+#include <type_traits>
 
 using namespace eva;
 
@@ -146,9 +147,20 @@ TEST(EndToEnd, MultipleOutputsAtDifferentDepths) {
             1e-2);
 }
 
+// A hoisting flag passed where the thread count goes must not compile:
+// false would silently mean a hardware-concurrency pool.
+static_assert(!std::is_constructible_v<CkksExecutor, const CompiledProgram &,
+                                       std::shared_ptr<CkksWorkspace>, bool>);
+static_assert(
+    !std::is_constructible_v<KernelBulkCkksExecutor, const CompiledProgram &,
+                             std::shared_ptr<CkksWorkspace>, bool, bool>);
+static_assert(std::is_constructible_v<CkksExecutor, const CompiledProgram &,
+                                      std::shared_ptr<CkksWorkspace>, size_t,
+                                      bool>);
+
 struct ExecutorKind {
   const char *Name;
-  int Kind; // 0 serial, 1 parallel, 2 kernel-bulk
+  bool Bulk; // KernelBulkCkksExecutor instead of the DAG executor
   size_t Threads;
 };
 
@@ -183,36 +195,32 @@ TEST_P(AllExecutors, AgreeOnSobelLikeProgram) {
       CkksWorkspace::create(*CP, 1000);
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
   std::unique_ptr<CkksExecutor> Exec;
-  if (K.Kind == 0)
-    Exec = std::make_unique<CkksExecutor>(*CP, WS.value());
-  else if (K.Kind == 1)
-    Exec =
-        std::make_unique<ParallelCkksExecutor>(*CP, WS.value(), K.Threads);
-  else
+  if (K.Bulk)
     Exec =
         std::make_unique<KernelBulkCkksExecutor>(*CP, WS.value(), K.Threads);
+  else
+    Exec = std::make_unique<CkksExecutor>(*CP, WS.value(), K.Threads);
   std::map<std::string, std::vector<double>> Got = Exec->runPlain(Inputs);
   EXPECT_LT(maxOutputError(Want, Got), 1e-2);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, AllExecutors,
-    ::testing::Values(ExecutorKind{"serial", 0, 1},
-                      ExecutorKind{"parallel1", 1, 1},
-                      ExecutorKind{"parallel2", 1, 2},
-                      ExecutorKind{"parallel4", 1, 4},
-                      ExecutorKind{"bulk2", 2, 2}),
+    ::testing::Values(ExecutorKind{"parallel1", false, 1},
+                      ExecutorKind{"parallel2", false, 2},
+                      ExecutorKind{"parallel4", false, 4},
+                      ExecutorKind{"bulk2", true, 2}),
     [](const ::testing::TestParamInfo<ExecutorKind> &I) {
       return std::string(I.param.Name);
     });
 
 TEST(EndToEnd, AllExecutorsProduceIdenticalOutputsOnMultiKernelProgram) {
   // A program with several frontend-tagged kernels (the CHET executor's
-  // chunk boundaries), run from the SAME encrypted inputs under all three
-  // executors with >= 2 threads. Every CKKS op is exact modular integer
-  // arithmetic, so the decrypted outputs must agree bit-for-bit — any
-  // divergence means a scheduling race (lost limb, stale operand, retire
-  // before last use).
+  // chunk boundaries), run from the SAME encrypted inputs under the DAG
+  // executor at 1 and 4 threads and the kernel-bulk executor at 4 threads.
+  // Every CKKS op is exact modular integer arithmetic, so the decrypted
+  // outputs must agree bit-for-bit — any divergence means a scheduling race
+  // (lost limb, stale operand, retire before last use).
   ProgramBuilder B("kernels", 64);
   Expr X = B.inputCipher("x", 30);
   Expr Y = B.inputCipher("y", 30);
@@ -235,47 +243,52 @@ TEST(EndToEnd, AllExecutorsProduceIdenticalOutputsOnMultiKernelProgram) {
 
   std::map<std::string, std::vector<double>> Inputs =
       randomInputs(B.program(), 97);
-  CkksExecutor Serial(*CP, WS.value());
-  ParallelCkksExecutor Parallel(*CP, WS.value(), 4);
+  CkksExecutor Single(*CP, WS.value(), 1);
+  CkksExecutor Parallel(*CP, WS.value(), 4);
   KernelBulkCkksExecutor Bulk(*CP, WS.value(), 4);
 
   // Encrypt once; every executor consumes the identical ciphertexts.
-  SealedInputs Sealed = Serial.encryptInputs(Inputs);
-  std::map<std::string, Ciphertext> SerialOut = Serial.run(Sealed);
+  SealedInputs Sealed = Single.encryptInputs(Inputs);
+  std::map<std::string, Ciphertext> SingleOut = Single.run(Sealed);
   std::map<std::string, Ciphertext> ParallelOut = Parallel.run(Sealed);
   std::map<std::string, Ciphertext> BulkOut = Bulk.run(Sealed);
 
-  ASSERT_EQ(SerialOut.size(), 2u);
+  ASSERT_EQ(SingleOut.size(), 2u);
   ASSERT_EQ(ParallelOut.size(), 2u);
   ASSERT_EQ(BulkOut.size(), 2u);
-  for (const auto &[Name, Ct] : SerialOut) {
-    std::vector<double> Want = Serial.decryptOutput(Ct);
+  for (const auto &[Name, Ct] : SingleOut) {
+    std::vector<double> Want = Single.decryptOutput(Ct);
     ASSERT_TRUE(ParallelOut.count(Name)) << Name;
     ASSERT_TRUE(BulkOut.count(Name)) << Name;
-    EXPECT_EQ(Want, Serial.decryptOutput(ParallelOut.at(Name)))
+    EXPECT_EQ(Want, Single.decryptOutput(ParallelOut.at(Name)))
         << "parallel executor diverged on " << Name;
-    EXPECT_EQ(Want, Serial.decryptOutput(BulkOut.at(Name)))
+    EXPECT_EQ(Want, Single.decryptOutput(BulkOut.at(Name)))
         << "kernel-bulk executor diverged on " << Name;
   }
 
-  // Stats parity: the parallel executor tracks the same counters as the
-  // serial one (PeakLiveNodes used to be left at zero).
-  EXPECT_GT(Serial.stats().PeakLiveNodes, 0u);
-  EXPECT_GT(Parallel.stats().PeakLiveNodes, 0u);
-  EXPECT_LE(Parallel.stats().PeakLiveNodes,
-            Parallel.stats().TotalNodeCount);
-  EXPECT_GT(Parallel.stats().PeakLiveBytes, 0u);
+  // Stats parity: every schedule tracks the live set through the same
+  // accounting.
+  const CkksExecutor *Execs[] = {&Single, &Parallel, &Bulk};
+  for (const CkksExecutor *E : Execs) {
+    EXPECT_GT(E->stats().PeakLiveNodes, 0u);
+    EXPECT_LE(E->stats().PeakLiveNodes, E->stats().TotalNodeCount);
+    EXPECT_GT(E->stats().PeakLiveBytes, 0u);
+  }
 
   // NTT counts are exact per evaluator, so scheduling cannot change them.
-  EXPECT_GT(Serial.stats().Ntts, 0u);
-  EXPECT_EQ(Parallel.stats().Ntts, Serial.stats().Ntts);
-  EXPECT_EQ(Bulk.stats().Ntts, Serial.stats().Ntts);
+  EXPECT_GT(Single.stats().Ntts, 0u);
+  EXPECT_EQ(Parallel.stats().Ntts, Single.stats().Ntts);
+  EXPECT_EQ(Bulk.stats().Ntts, Single.stats().Ntts);
 }
 
 TEST(EndToEnd, ConcurrentRunnersReportExactSoloNtts) {
-  // Two local runners on separate workspaces run concurrently; each must
-  // report exactly the NTT count of its solo run every time. A
-  // process-wide counter would fold the other runner's work into it.
+  // Local runners run concurrently; each must report exactly the NTT count
+  // of its solo run every time. Lanes 0 and 1 (a 1-thread and a 2-thread
+  // runner, different programs) own separate workspaces: a process-wide
+  // counter would fold the other runner's work into theirs. Lanes 2 and 3
+  // are two 1-thread runners over ONE shared workspace, the bench and test
+  // pattern: an evaluator owned by the workspace would let each run's
+  // counter reset wipe out the other's counts.
   ProgramBuilder BA("rotsum", 64);
   Expr X = BA.inputCipher("x", 30);
   Expr Sum = X;
@@ -286,43 +299,64 @@ TEST(EndToEnd, ConcurrentRunnersReportExactSoloNtts) {
   Expr Y = BB.inputCipher("x", 30);
   BB.output("out", Y * Y * Y, 30);
 
+  Expected<CompiledProgram> SharedCP = compile(BA.program());
+  ASSERT_TRUE(SharedCP.ok()) << SharedCP.message();
+  Expected<std::shared_ptr<CkksWorkspace>> SharedWS =
+      CkksWorkspace::create(*SharedCP, 3);
+  ASSERT_TRUE(SharedWS.ok()) << SharedWS.message();
+
   constexpr size_t Runs = 16;
   struct Lane {
     std::unique_ptr<Runner> R;
+    Valuation In;
     uint64_t Solo = 0;
     std::vector<uint64_t> Seen;
   };
-  Lane Lanes[2];
-  Valuation In = Valuation().set("x", std::vector<double>(64, 0.5));
+  Lane Lanes[4];
+  std::vector<double> Ones(64, 0.5);
   for (size_t I = 0; I < 2; ++I) {
     Expected<CompiledProgram> CP = compile(I == 0 ? BA.program()
                                                   : BB.program());
     ASSERT_TRUE(CP.ok()) << CP.message();
     LocalRunnerOptions Opts;
     Opts.Seed = I + 1;
-    Opts.Threads = I + 1; // one serial, one parallel-DAG runner
+    Opts.Threads = I + 1;
     Expected<std::unique_ptr<Runner>> R = Runner::local(std::move(*CP), Opts);
     ASSERT_TRUE(R.ok()) << R.message();
     Lanes[I].R = std::move(*R);
-    ASSERT_TRUE(Lanes[I].R->run(In).ok());
-    Lanes[I].Solo = Lanes[I].R->executionStats()->Ntts;
-    EXPECT_GT(Lanes[I].Solo, 0u);
+    Lanes[I].In.set("x", Ones);
+  }
+  // The shared lanes get the same ciphertext, sealed up front, so they do
+  // not race on the workspace's encryptor.
+  Ciphertext Sealed = CkksExecutor(*SharedCP, *SharedWS)
+                          .encryptInputs({{"x", Ones}})
+                          .Cipher.at("x");
+  for (size_t I = 2; I < 4; ++I) {
+    Expected<std::unique_ptr<Runner>> R = Runner::local(*SharedCP, *SharedWS);
+    ASSERT_TRUE(R.ok()) << R.message();
+    Lanes[I].R = std::move(*R);
+    Lanes[I].In.set("x", Sealed);
+  }
+  for (Lane &L : Lanes) {
+    ASSERT_TRUE(L.R->run(L.In).ok());
+    L.Solo = L.R->executionStats()->Ntts;
+    EXPECT_GT(L.Solo, 0u);
   }
   EXPECT_NE(Lanes[0].Solo, Lanes[1].Solo);
 
   std::vector<std::thread> Threads;
   for (Lane &L : Lanes)
-    Threads.emplace_back([&L, &In] {
+    Threads.emplace_back([&L] {
       for (size_t K = 0; K < Runs; ++K)
-        if (L.R->run(In).ok())
+        if (L.R->run(L.In).ok())
           L.Seen.push_back(L.R->executionStats()->Ntts);
     });
   for (std::thread &T : Threads)
     T.join();
-  for (const Lane &L : Lanes) {
-    EXPECT_EQ(L.Seen.size(), Runs);
-    for (uint64_t N : L.Seen)
-      EXPECT_EQ(N, L.Solo);
+  for (size_t I = 0; I < 4; ++I) {
+    EXPECT_EQ(Lanes[I].Seen.size(), Runs) << "lane " << I;
+    for (uint64_t N : Lanes[I].Seen)
+      EXPECT_EQ(N, Lanes[I].Solo) << "lane " << I;
   }
 }
 
@@ -341,11 +375,17 @@ TEST(EndToEnd, MemoryReuseBoundsLiveCiphertexts) {
       CkksWorkspace::create(*CP, 5);
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
   CkksExecutor Exec(*CP, WS.value());
+  KernelBulkCkksExecutor Bulk(*CP, WS.value());
   std::map<std::string, std::vector<double>> Inputs = randomInputs(
       B.program(), 3, 0.9, 1.1);
   Exec.runPlain(Inputs);
+  Bulk.runPlain(Inputs);
   EXPECT_GT(Exec.stats().TotalNodeCount, 10u);
   EXPECT_LE(Exec.stats().PeakLiveNodes, 4u);
+  // The CHET-style baseline never retires, and reports its live set
+  // through the same accounting: never zero, and above the DAG's.
+  EXPECT_GT(Bulk.stats().PeakLiveNodes, Exec.stats().PeakLiveNodes);
+  EXPECT_GT(Bulk.stats().PeakLiveBytes, Exec.stats().PeakLiveBytes);
 }
 
 TEST(Reference, MatchesHandComputedValues) {

@@ -252,7 +252,7 @@ TEST(Networks, EncryptedInferenceMatchesPlain) {
   ASSERT_TRUE(CP.ok()) << (CP.ok() ? "" : CP.message());
   Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 3);
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
-  ParallelCkksExecutor Exec(*CP, WS.value(), 2);
+  CkksExecutor Exec(*CP, WS.value(), 2);
 
   Tensor Image = Tensor::random({1, 8, 8}, Rng);
   std::vector<double> Slots(P->vecSize(), 0.0);

@@ -2,7 +2,7 @@
 //
 // Part of the EVA-CKKS project (PLDI 2020 "EVA" reproduction).
 //
-// The pool underpins both executors (ParallelCkksExecutor's DAG scheduler and
+// The pool underpins both executors (CkksExecutor's DAG scheduler and
 // KernelBulkCkksExecutor's per-kernel parallelFor) and the Evaluator's
 // limb-level parallelism, so its barrier and idle-tracking semantics must
 // hold under oversubscription, nested submission, parallelFor called from

@@ -68,8 +68,8 @@ static int usage(const char *Prog) {
                "run subcommand:\n"
                "  --backend B   reference (plaintext semantics), local\n"
                "                (encrypt/execute/decrypt in-process; "
-               "--threads picks\n"
-               "                the serial or parallel executor), or service "
+               "--threads sets\n"
+               "                the DAG executor's thread count), or service "
                "(the full\n"
                "                client loop; in-process loopback server "
                "unless --port)\n"
