@@ -164,6 +164,10 @@ struct BenchResult {
   /// Rotation-cost results carry the run's key-switch decomposition count
   /// (ExecutionStats::KeySwitchDecompositions); 0 omits the field.
   double Decompositions = 0;
+  /// Matvec-kernel results also carry the run's plaintext multiplies and
+  /// the compiled program's Galois-key count; 0 omits each field.
+  double PlainMultiplies = 0;
+  double GaloisKeys = 0;
 };
 
 /// Samples \p Fn — a callable reporting its own per-iteration duration in
@@ -291,6 +295,16 @@ public:
       if (R.Decompositions > 0) {
         std::snprintf(Buf, sizeof(Buf), ", \"decompositions\": %.0f",
                       R.Decompositions);
+        Out += Buf;
+      }
+      if (R.PlainMultiplies > 0) {
+        std::snprintf(Buf, sizeof(Buf), ", \"plain_multiplies\": %.0f",
+                      R.PlainMultiplies);
+        Out += Buf;
+      }
+      if (R.GaloisKeys > 0) {
+        std::snprintf(Buf, sizeof(Buf), ", \"galois_keys\": %.0f",
+                      R.GaloisKeys);
         Out += Buf;
       }
       Out += I + 1 == Results.size() ? "}\n" : "},\n";

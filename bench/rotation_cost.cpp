@@ -16,10 +16,15 @@
 //      ServiceClient session-open upload payload) for the unbudgeted step
 //      set vs the power-of-two basis, with a reference-closeness check on
 //      the rewritten program.
+//   4. Rectangular dense layers (32x1024, 16x256, 64x4096 at full vector
+//      width): the GAZELLE hybrid against BSGS — plaintext multiplies,
+//      decompositions and Galois keys per row, the inputs a layout
+//      autotuner would cost.
 //
 // The binary exits nonzero if any correctness gate (bit identity,
 // reference closeness, the >= 30% decomposition drop, budget shrinking the
-// upload) fails, so CI can run it as both a bench and a check.
+// upload, the hybrid cutting plaintext multiplies) fails, so CI can run it
+// as both a bench and a check.
 //
 // Usage: rotation_cost [output-dir]        (default: current directory)
 //
@@ -121,15 +126,18 @@ std::unique_ptr<Program> buildNaiveMatvec(uint64_t M, const Tensor &W) {
   return B.take();
 }
 
-std::unique_ptr<Program> buildBsgsMatvec(uint64_t M, const Tensor &W) {
-  ProgramBuilder B("bsgs_matvec", M);
+/// y = Wx over a dense M-slot input, through BSGS or the hybrid.
+std::unique_ptr<Program> buildDenseMatvec(uint64_t M, const Tensor &W,
+                                          bool Hybrid = false) {
+  ProgramBuilder B(Hybrid ? "hybrid_matvec" : "bsgs_matvec", M);
   TensorScales Scales;
   CipherLayout L;
   L.C = M;
   L.H = L.W = 1;
   L.GridH = L.GridW = 1;
   CipherTensor In{B.inputCipher("x", Scales.Cipher), L};
-  CipherTensor Y = matVecBsgs(B, In, W, Tensor(), Scales);
+  CipherTensor Y = Hybrid ? matVecHybrid(B, In, W, Tensor(), Scales)
+                          : matVecBsgs(B, In, W, Tensor(), Scales);
   B.output("y", Y.Value, Scales.Output);
   return B.take();
 }
@@ -240,7 +248,7 @@ int main(int argc, char **argv) {
   {
     Tensor W = randomMatrix(M, M, 21);
     std::unique_ptr<Program> Naive = buildNaiveMatvec(M, W);
-    std::unique_ptr<Program> Bsgs = buildBsgsMatvec(M, W);
+    std::unique_ptr<Program> Bsgs = buildDenseMatvec(M, W);
     std::map<std::string, std::vector<double>> Inputs = randomInputs(*Naive, 9);
     std::map<std::string, std::vector<double>> Want =
         *ReferenceExecutor(*Naive).run(Inputs);
@@ -321,6 +329,56 @@ int main(int argc, char **argv) {
           "budget shrinks the rotation-step set to the basis");
     check(UploadBytes[1] < 0.5 * UploadBytes[0],
           "budget at least halves the serialized galois-key upload");
+  }
+
+  //===--------------------------------------------------------------------===
+  // 4. Rectangular dense layers: hybrid vs BSGS.
+  //===--------------------------------------------------------------------===
+  std::printf("rectangular matvec (hybrid vs bsgs)\n");
+  const std::pair<size_t, size_t> Shapes[] = {{32, 1024}, {16, 256},
+                                              {64, 4096}};
+  for (auto [Rows, Cols] : Shapes) {
+    Tensor W = randomMatrix(Rows, Cols, 31);
+    double PlainMuls[2] = {0, 0};
+    for (bool Hybrid : {false, true}) {
+      std::string Name = std::string(Hybrid ? "hybrid" : "bsgs") +
+                         "_matvec" + std::to_string(Rows) + "x" +
+                         std::to_string(Cols);
+      std::unique_ptr<Program> P = buildDenseMatvec(Cols, W, Hybrid);
+      std::map<std::string, std::vector<double>> Inputs = randomInputs(*P, 13);
+      std::map<std::string, std::vector<double>> Want =
+          *ReferenceExecutor(*P).run(Inputs);
+      CompiledProgram CP = std::move(compile(*P).value());
+      std::shared_ptr<CkksWorkspace> WS =
+          CkksWorkspace::create(CP, 1234).value();
+      SealedInputs Sealed = CkksExecutor(CP, WS).encryptInputs(Inputs);
+      // The first run fills the constant cache; the timed one is warm.
+      RunOutcome Run = runOnce(CP, WS, Sealed, /*Hoisting=*/true);
+      // Only the hybrid is gated: at 64x4096 these 1/Cols weights sit so
+      // close to the 2^-20 vector scale that BSGS's 4096 encoded diagonals
+      // err by about as much as |y| itself (see CHANGES.md); its error is
+      // reported, not gated.
+      double Err = maxAbsError(Run.Outputs, Want, Rows);
+      if (Hybrid)
+        check(Err < 5e-3,
+              Name + " reference-close (err " + std::to_string(Err) + ")");
+      else
+        std::printf("  [info] %s err %f\n", Name.c_str(), Err);
+      BenchResult R = measure(
+          Name, [&] { runOnce(CP, WS, Sealed, true); }, 1, 0.0);
+      R.Decompositions =
+          static_cast<double>(Run.Stats.KeySwitchDecompositions);
+      R.PlainMultiplies = static_cast<double>(Run.Stats.PlainMultiplies);
+      R.GaloisKeys = static_cast<double>(CP.RotationSteps.size());
+      PlainMuls[Hybrid] = R.PlainMultiplies;
+      report(R);
+      std::printf("    plain_multiplies=%.0f galois_keys=%.0f\n",
+                  R.PlainMultiplies, R.GaloisKeys);
+      Report.add(std::move(R));
+    }
+    check(PlainMuls[1] < PlainMuls[0],
+          "hybrid cuts plaintext multiplies at " + std::to_string(Rows) + "x" +
+              std::to_string(Cols));
   }
 
   std::string Path = OutDir + "/BENCH_rotation.json";

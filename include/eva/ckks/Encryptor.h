@@ -12,6 +12,7 @@
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/ckks/Keys.h"
 #include "eva/ckks/Plaintext.h"
+#include "eva/support/ThreadAnnotations.h"
 
 #include <memory>
 
@@ -26,6 +27,11 @@ namespace eva {
 /// expanded from a PRNG seed, so serialization can ship (c0, seed) instead
 /// of (c0, c1) — half the upload for fresh request ciphertexts. Decryption
 /// and evaluation treat both forms identically.
+///
+/// Thread-safe: the sampler's RNG is serialized, so runners sharing one
+/// workspace may encrypt concurrently. Each call draws its randomness in
+/// one critical section, so a single caller's stream — and every
+/// ciphertext a seeded single-threaded caller produces — is unchanged.
 class Encryptor {
 public:
   /// \p ReproducibleSeeds forwards to the internal sampler's reproducible
@@ -49,7 +55,10 @@ public:
 private:
   std::shared_ptr<const CkksContext> Ctx;
   PublicKey Pk; // empty polys for symmetric-only encryptors
-  KeyGenerator Sampler; // reused for ternary/error sampling only
+  /// Leaf lock: held only while drawing from Sampler.
+  Mutex SamplerMutex;
+  /// Reused for ternary/error sampling and c1 seeds only.
+  KeyGenerator Sampler EVA_GUARDED_BY(SamplerMutex);
 };
 
 } // namespace eva

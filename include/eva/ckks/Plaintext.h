@@ -23,6 +23,9 @@ struct Plaintext {
   double Scale = 1.0;
 
   size_t primeCount() const { return Poly.primeCount(); }
+  size_t memoryBytes() const {
+    return primeCount() * Poly.Degree * sizeof(uint64_t);
+  }
 };
 
 } // namespace eva

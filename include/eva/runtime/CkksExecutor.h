@@ -28,6 +28,13 @@
 /// Its operation counters are the executor's own, so executors sharing one
 /// workspace never see each other's counts.
 ///
+/// Vector `Constant` operands (weights, masks, biases) are encoded once
+/// and then served from a ConstantCache shared by every executor of the
+/// same compiled program on the same context: the workspace holds it in
+/// local mode, the RegisteredProgram in the service. The first run pays
+/// the encodes (ExecutionStats::ConstantEncodes); later runs, and other
+/// sessions of the program, pay none while the cache is within its budget.
+///
 /// Scale handling refines footnote 1 of the paper: instead of pretending
 /// each RESCALE divides by 2^bits, the executor tracks the actual
 /// prime-quotient scales. Because validation proves the conforming rescale
@@ -52,6 +59,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -59,6 +67,76 @@
 #include <vector>
 
 namespace eva {
+
+/// Encoded vector `Constant` operands of one compiled program over one
+/// context, shared by every executor (and every service session) running
+/// that program on that context.
+///
+///  * Key: the consuming node. The consumer fixes the prime count and the
+///    scale an operand is encoded at, so one constant feeding two
+///    consumers gets two entries. The executor re-checks a hit's (prime
+///    count, scale) and encodes afresh on a mismatch.
+///  * Fill: lazy, one std::call_once per entry, so concurrent first runs
+///    encode each entry exactly once. Plain `Input` vectors change per run
+///    and are never cached; scalar constants encode by broadcast (no NTT)
+///    and are not cached either.
+///  * Budget: BudgetBytes of encoded plaintexts. An entry that would
+///    exceed it stays empty and its operand encodes on every run.
+///
+/// The cache records the Program and context it was built for; an
+/// executor uses it only for that pair (program() / context()), and the
+/// program must outlive the cache's users, as it must outlive executors.
+class ConstantCache {
+public:
+  /// Encoded bytes the cache holds at most (fixed: about 4x what the SoK
+  /// perceptron's hybrid layers need).
+  static constexpr size_t BudgetBytes = size_t(64) << 20;
+
+  ConstantCache(const Program &P, std::shared_ptr<const CkksContext> Ctx)
+      : Prog(&P), Ctx(std::move(Ctx)), Entries(P.maxNodeId()) {}
+
+  const Program &program() const { return *Prog; }
+  const CkksContext &context() const { return *Ctx; }
+  /// Encoded bytes held (at most BudgetBytes).
+  size_t bytes() const { return Bytes.load(); }
+
+  /// The plaintext cached for consumer \p ConsumerId, or null when its
+  /// entry did not fit the budget. The first call for an entry runs
+  /// \p Encode(\p Scratch) and moves the result into the cache if it fits;
+  /// when it does not, \p Scratch keeps it.
+  template <typename EncodeFn>
+  const Plaintext *find(uint64_t ConsumerId, EncodeFn &&Encode,
+                        Plaintext &Scratch) {
+    Entry &E = Entries[ConsumerId];
+    std::call_once(E.Once, [&] {
+      Encode(Scratch);
+      if (reserve(Scratch.memoryBytes()))
+        E.Pt = std::move(Scratch);
+    });
+    return E.Pt ? &*E.Pt : nullptr;
+  }
+
+private:
+  struct Entry {
+    std::once_flag Once;
+    /// Written once inside call_once, read-only after.
+    std::optional<Plaintext> Pt;
+  };
+  /// Claims \p Size bytes of the budget; false when they do not fit.
+  bool reserve(size_t Size) {
+    size_t Cur = Bytes.load();
+    do {
+      if (Cur + Size > BudgetBytes)
+        return false;
+    } while (!Bytes.compare_exchange_weak(Cur, Cur + Size));
+    return true;
+  }
+
+  const Program *Prog;
+  std::shared_ptr<const CkksContext> Ctx;
+  std::vector<Entry> Entries;
+  std::atomic<size_t> Bytes{0};
+};
 
 /// The "encryption context" of Table 7: parameters, keys, and the
 /// encoder/encryptor/decryptor stack for one compiled program. Evaluators
@@ -83,10 +161,12 @@ public:
   /// sessions of one registered program) and the evaluation keys a client
   /// uploaded. Validates that \p Gk covers every rotation step the compiled
   /// program needs and that \p Rk is present when it relinearizes.
+  /// \p Constants, when given, is the program's shared constant cache (the
+  /// RegisteredProgram's), so N sessions pin one copy of the encodings.
   static Expected<std::shared_ptr<CkksWorkspace>>
   createServer(const CompiledProgram &CP,
                std::shared_ptr<const CkksContext> Ctx, RelinKeys Rk,
-               GaloisKeys Gk);
+               GaloisKeys Gk, std::shared_ptr<ConstantCache> Constants = {});
 
   /// Client-style workspace: exactly the crypto stack ServiceClient builds
   /// when it opens a session — no public key, a symmetric-only encryptor,
@@ -107,6 +187,10 @@ public:
   GaloisKeys Gk;
   std::unique_ptr<Encryptor> Enc;
   std::unique_ptr<Decryptor> Dec;
+  /// Encoded constants of the program this workspace was built for; create()
+  /// and createClient() make a fresh one, createServer() takes the shared
+  /// one it is given (or none).
+  std::shared_ptr<ConstantCache> Constants;
 };
 
 /// Named runtime inputs: Cipher inputs are encrypted; Vector/Scalar inputs
@@ -123,6 +207,9 @@ struct ExecutionStats : EvaluatorCounters {
   size_t PeakLiveBytes = 0;
   size_t TotalNodeCount = 0;
   size_t PeakLiveNodes = 0;
+  /// Vector `Constant` operands this run encoded: one per use on a cold
+  /// cache, 0 once the ConstantCache serves them all.
+  size_t ConstantEncodes = 0;
 };
 
 /// The paper's EVA executor: asynchronous DAG scheduling + memory reuse.
@@ -139,7 +226,8 @@ public:
   CkksExecutor(const CompiledProgram &CP, std::shared_ptr<CkksWorkspace> WS,
                size_t NumThreads = 1, bool UseHoisting = true)
       : CP(CP), P(*CP.Prog), WS(std::move(WS)), UseHoisting(UseHoisting),
-        Pool(NumThreads), LimbEval(this->WS->Context, &Pool) {}
+        Pool(NumThreads), LimbEval(this->WS->Context, &Pool),
+        Constants(cacheFor(P, *this->WS)) {}
   /// A bool in the thread-count position is a hoisting flag in the wrong
   /// place (false would mean hardware concurrency); reject it at compile
   /// time.
@@ -183,11 +271,17 @@ protected:
   /// the live set.
   void retire(Value &V);
 
-  /// Encodes a plain value for consumption by a cipher op at the given
-  /// level and scale.
-  Plaintext encodeOperand(const Node *PlainNode,
-                          const std::vector<double> &V, size_t PrimeCount,
-                          double Scale) const;
+  /// The plaintext \p Consumer reads for its plain operand \p PlainNode
+  /// at the given level and scale: from the constant cache when the
+  /// operand is a vector constant, else freshly encoded into \p Scratch.
+  const Plaintext &plainOperand(const Node *Consumer, const Node *PlainNode,
+                                const std::vector<double> &V,
+                                size_t PrimeCount, double Scale,
+                                Plaintext &Scratch);
+
+  /// \p WS's constant cache if it was built for \p P on WS's context,
+  /// else null (the executor then encodes every operand on every run).
+  static ConstantCache *cacheFor(const Program &P, const CkksWorkspace &WS);
 
   const std::vector<double> &plainValueOf(const Node *N,
                                           const std::vector<Value> &Values,
@@ -235,6 +329,9 @@ protected:
   /// One entry per RotationPlan group, rebuilt by beginRun().
   std::vector<std::unique_ptr<HoistGroupState>> HoistState;
   LiveSet Live;
+  /// Null, or the workspace's cache when it serves this program.
+  ConstantCache *Constants;
+  std::atomic<size_t> ConstantEncodes{0};
   ExecutionStats Stats;
   /// Leaf lock: serializes Output-node writes into the result map when
   /// several output nodes finish at once. The map itself is a computeNode

@@ -20,6 +20,7 @@
 
 #include "eva/ckks/Context.h"
 #include "eva/core/Compiler.h"
+#include "eva/runtime/CkksExecutor.h"
 #include "eva/service/Messages.h"
 #include "eva/support/ThreadAnnotations.h"
 
@@ -35,6 +36,9 @@ struct RegisteredProgram {
   CompiledProgram CP;
   std::shared_ptr<const CkksContext> Context;
   ParamSignature Signature;
+  /// The program's encoded constants over Context, handed to every
+  /// session's workspace: N sessions pin one copy. Internally synchronized.
+  std::shared_ptr<ConstantCache> Constants;
 };
 
 /// Builds the client-facing signature of a compiled program.

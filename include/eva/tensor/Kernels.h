@@ -35,6 +35,11 @@ struct CipherLayout {
   size_t C = 0, H = 0, W = 0;      ///< logical tensor dims
   size_t GridH = 0, GridW = 0;     ///< physical grid per channel
   size_t StrideY = 1, StrideX = 1; ///< grid steps between logical pixels
+  /// 0, or a power of two P such that every slot k of the vector holds
+  /// slot k mod P: the replicated output of matVecHybrid, whose elements
+  /// m..P-1 are zero. Elementwise kernels keep it; kernels that move data
+  /// between slots reset it.
+  size_t Period = 0;
 
   size_t slotOf(size_t Ch, size_t Y, size_t X) const {
     return Ch * GridH * GridW + Y * StrideY * GridW + X * StrideX;
@@ -108,10 +113,35 @@ CipherTensor matVecBsgs(ProgramBuilder &B, const CipherTensor &In,
                         const Tensor &Weights, const Tensor &Bias,
                         const TensorScales &Scales);
 
+/// The GAZELLE hybrid matvec (Juvekar et al.; the SoK's
+/// general_mvp_from_diagonals) for a dense input that repeats with period
+/// n: n == vec_size, or the replicated output of an earlier hybrid. With m
+/// outputs padded by zero rows to mp (the next power of two, which must
+/// divide n), it multiplies the mp extended diagonals
+///   diag_i[k] = W[k mod mp][(k+i) mod n]
+/// by the mp baby rotations of x — one hoist batch — and then sums with a
+/// log2(n/mp)-step rotation tree, which leaves y[k mod mp] in every slot k.
+/// That is mp plaintext multiplies and log2(n/mp) + 1 key-switch
+/// decompositions where matVecBsgs walks all vec_size cyclic diagonals.
+/// The bias is tiled with period mp, so the output layout is dense with
+/// Period = mp and a following layer can take the hybrid again.
+CipherTensor matVecHybrid(ProgramBuilder &B, const CipherTensor &In,
+                          const Tensor &Weights, const Tensor &Bias,
+                          const TensorScales &Scales);
+
+/// The period matVecHybrid would run over for \p L with \p NOut outputs
+/// in a \p VecSize-slot vector, or 0 when the hybrid does not apply (the
+/// layout is not dense and periodic, or the padded row count does not
+/// divide the period).
+size_t hybridPeriod(const CipherLayout &L, size_t NOut, size_t VecSize);
+
 /// Dense layer y = Wx + b; Weights: (Out, In) over the flattened logical
-/// CHW input. Output layout is dense: element j at slot j. Dense inputs
-/// dispatch to the BSGS diagonal kernel (matVecBsgs); strided layouts fall
-/// back to the per-output mask + rotation-tree reduction.
+/// CHW input. Output layout is dense: element j at slot j. Dispatch, in
+/// order:
+///  1. matVecHybrid, when hybridPeriod() is nonzero: the input is dense and
+///     periodic (full width, or an earlier hybrid's output);
+///  2. matVecBsgs, for every other dense input;
+///  3. the per-output mask + rotation-tree reduction, for strided layouts.
 CipherTensor fullyConnected(ProgramBuilder &B, const CipherTensor &In,
                             const Tensor &Weights, const Tensor &Bias,
                             const TensorScales &Scales);

@@ -26,9 +26,13 @@ Ciphertext Encryptor::encryptSymmetric(const Plaintext &Pt,
          "plaintext level out of range");
   uint64_t N = Ctx->polyDegree();
 
-  C1SeedOut = Sampler.deriveSeed();
+  RnsPoly E;
+  {
+    LockGuard Lock(SamplerMutex);
+    C1SeedOut = Sampler.deriveSeed();
+    E = Sampler.sampleErrorNtt(Count);
+  }
   RnsPoly C1 = expandUniformNtt(*Ctx, Count, C1SeedOut);
-  RnsPoly E = Sampler.sampleErrorNtt(Count);
 
   Ciphertext Ct;
   Ct.Scale = Pt.Scale;
@@ -53,9 +57,13 @@ Ciphertext Encryptor::encrypt(const Plaintext &Pt) {
          "plaintext level out of range");
   uint64_t N = Ctx->polyDegree();
 
-  RnsPoly U = Sampler.sampleTernaryNtt(Count);
-  RnsPoly E0 = Sampler.sampleErrorNtt(Count);
-  RnsPoly E1 = Sampler.sampleErrorNtt(Count);
+  RnsPoly U, E0, E1;
+  {
+    LockGuard Lock(SamplerMutex);
+    U = Sampler.sampleTernaryNtt(Count);
+    E0 = Sampler.sampleErrorNtt(Count);
+    E1 = Sampler.sampleErrorNtt(Count);
+  }
 
   Ciphertext Ct;
   Ct.Scale = Pt.Scale;

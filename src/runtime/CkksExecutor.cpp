@@ -36,13 +36,15 @@ CkksWorkspace::create(const CompiledProgram &CP, uint64_t Seed) {
       std::set<uint64_t>(CP.RotationSteps.begin(), CP.RotationSteps.end()));
   WS->Enc = std::make_unique<Encryptor>(WS->Context, WS->Pk, Seed + 1);
   WS->Dec = std::make_unique<Decryptor>(WS->Context, WS->KeyGen->secretKey());
+  WS->Constants = std::make_shared<ConstantCache>(*CP.Prog, WS->Context);
   return WS;
 }
 
 Expected<std::shared_ptr<CkksWorkspace>>
 CkksWorkspace::createServer(const CompiledProgram &CP,
                             std::shared_ptr<const CkksContext> Ctx,
-                            RelinKeys RkIn, GaloisKeys GkIn) {
+                            RelinKeys RkIn, GaloisKeys GkIn,
+                            std::shared_ptr<ConstantCache> Constants) {
   using Result = Expected<std::shared_ptr<CkksWorkspace>>;
   if (!Ctx)
     return Result::error("server workspace needs a context");
@@ -65,6 +67,7 @@ CkksWorkspace::createServer(const CompiledProgram &CP,
   WS->Encoder = std::make_unique<CkksEncoder>(WS->Context);
   WS->Rk = std::move(RkIn);
   WS->Gk = std::move(GkIn);
+  WS->Constants = std::move(Constants);
   return WS;
 }
 
@@ -97,6 +100,7 @@ CkksWorkspace::createClient(const CompiledProgram &CP, uint64_t Seed,
     WS->Rk = WS->KeyGen->createRelinKeys();
   WS->Gk = WS->KeyGen->createGaloisKeys(
       std::set<uint64_t>(CP.RotationSteps.begin(), CP.RotationSteps.end()));
+  WS->Constants = std::make_shared<ConstantCache>(*CP.Prog, WS->Context);
   return WS;
 }
 
@@ -148,15 +152,43 @@ CkksExecutor::plainValueOf(const Node *N, const std::vector<Value> &Values,
   }
 }
 
-Plaintext CkksExecutor::encodeOperand(const Node *PlainNode,
-                                      const std::vector<double> &V,
-                                      size_t PrimeCount, double Scale) const {
-  Plaintext Pt;
-  if (PlainNode->type() == ValueType::Scalar && V.size() == 1)
-    WS->Encoder->encodeScalar(V[0], Scale, PrimeCount, Pt);
-  else
+ConstantCache *CkksExecutor::cacheFor(const Program &P,
+                                      const CkksWorkspace &WS) {
+  ConstantCache *C = WS.Constants.get();
+  return C && &C->program() == &P && &C->context() == WS.Context.get()
+             ? C
+             : nullptr;
+}
+
+const Plaintext &CkksExecutor::plainOperand(const Node *Consumer,
+                                            const Node *PlainNode,
+                                            const std::vector<double> &V,
+                                            size_t PrimeCount, double Scale,
+                                            Plaintext &Scratch) {
+  if (PlainNode->type() == ValueType::Scalar && V.size() == 1) {
+    WS->Encoder->encodeScalar(V[0], Scale, PrimeCount, Scratch);
+    return Scratch;
+  }
+  const Node *Root = PlainNode;
+  while (Root->op() == OpCode::NormalizeScale)
+    Root = Root->parm(0);
+  bool IsConstant = Root->op() == OpCode::Constant; // else a plain input
+  bool Fresh = false;
+  auto Encode = [&](Plaintext &Pt) {
     WS->Encoder->encode(V, Scale, PrimeCount, Pt);
-  return Pt;
+    Fresh = true;
+    if (IsConstant)
+      ConstantEncodes.fetch_add(1, std::memory_order_relaxed);
+  };
+  if (IsConstant && Constants) {
+    const Plaintext *Hit = Constants->find(Consumer->id(), Encode, Scratch);
+    if (Hit && Hit->primeCount() == PrimeCount && Hit->Scale == Scale)
+      return *Hit;
+    if (!Hit && Fresh) // encoded just now, past the cache's budget
+      return Scratch;
+  }
+  Encode(Scratch);
+  return Scratch;
 }
 
 uint64_t CkksExecutor::normalizedLeftSteps(const Node *N) const {
@@ -185,6 +217,7 @@ void CkksExecutor::beginRun() {
   Stats = ExecutionStats();
   Stats.TotalNodeCount = P.nodeCount();
   LimbEval.resetCounters();
+  ConstantEncodes = 0;
   Live.Bytes = Live.Nodes = Live.PeakBytes = Live.PeakNodes = 0;
   HoistState.clear();
   if (UseHoisting)
@@ -196,6 +229,7 @@ void CkksExecutor::finishRun() {
   static_cast<EvaluatorCounters &>(Stats) = LimbEval.counters();
   Stats.PeakLiveBytes = Live.PeakBytes.load();
   Stats.PeakLiveNodes = Live.PeakNodes.load();
+  Stats.ConstantEncodes = ConstantEncodes.load();
   HoistState.clear();
 }
 
@@ -258,8 +292,9 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
     } else {
       // Additive plain operands encode at the ciphertext's (nominal) scale
       // so Constraint 2 holds exactly at run time.
-      Plaintext Pt = encodeOperand(B, *Values[B->id()].Plain, CA.primeCount(),
-                                   CA.Scale);
+      Plaintext Scratch;
+      const Plaintext &Pt = plainOperand(N, B, *Values[B->id()].Plain,
+                                         CA.primeCount(), CA.Scale, Scratch);
       Slot.Ct = N->op() == OpCode::Add ? E.addPlain(CA, Pt)
                                        : E.subPlain(CA, Pt);
     }
@@ -275,8 +310,10 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
     if (B->isCipher()) {
       Slot.Ct = E.multiply(CA, CipherOf(B));
     } else {
-      Plaintext Pt = encodeOperand(B, *Values[B->id()].Plain, CA.primeCount(),
-                                   std::exp2(B->logScale()));
+      Plaintext Scratch;
+      const Plaintext &Pt =
+          plainOperand(N, B, *Values[B->id()].Plain, CA.primeCount(),
+                       std::exp2(B->logScale()), Scratch);
       Slot.Ct = E.multiplyPlain(CA, Pt);
     }
     break;

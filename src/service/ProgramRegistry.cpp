@@ -82,6 +82,8 @@ Status ProgramRegistry::registerSource(const Program &Source,
 
   Entry->CP = std::move(*CP);
   Entry->Context = Ctx.value();
+  Entry->Constants =
+      std::make_shared<ConstantCache>(*Entry->CP.Prog, Entry->Context);
 
   LockGuard Lock(M);
   if (!Programs.emplace(Source.name(), std::move(Entry)).second)

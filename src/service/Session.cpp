@@ -87,6 +87,8 @@ Session::execute(SealedInputs Inputs, TraceContext *Trace) {
       Metrics->counter("eva_exec_rescales_total")
           .add(ES->Rescales + ES->ModSwitches);
       Metrics->counter("eva_exec_ntts_total").add(ES->Ntts);
+      Metrics->counter("eva_exec_constant_encodes_total")
+          .add(ES->ConstantEncodes);
     }
   }
   if (!Out)
@@ -122,7 +124,7 @@ SessionManager::open(std::shared_ptr<const RegisteredProgram> Prog,
   }
   size_t PinnedBytes = pinnedKeyBytes(Rk, Gk);
   Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::createServer(
-      Prog->CP, Prog->Context, std::move(Rk), std::move(Gk));
+      Prog->CP, Prog->Context, std::move(Rk), std::move(Gk), Prog->Constants);
   if (!WS)
     return WS.takeStatus();
 

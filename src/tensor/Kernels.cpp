@@ -49,6 +49,45 @@ bool allZero(const std::vector<double> &V) {
   return true;
 }
 
+/// Logical element (c, y, x) at slot slotOf(c, y, x) with no gaps.
+bool isDense(const CipherLayout &L) {
+  return L.GridH == L.H && L.GridW == L.W && L.StrideY == 1 && L.StrideX == 1;
+}
+
+/// The hybrid's row count: NOut padded with zero rows to a power of two.
+size_t paddedRows(size_t NOut) {
+  size_t MP = 1;
+  while (MP < NOut)
+    MP <<= 1;
+  return MP;
+}
+
+/// A dense layer's output: element j at slot j (and, with a nonzero
+/// Period, at every slot j + t * Period).
+CipherLayout denseVector(size_t N, size_t Period = 0) {
+  CipherLayout Out;
+  Out.C = N;
+  Out.H = Out.W = 1;
+  Out.GridH = Out.GridW = 1;
+  Out.Period = Period;
+  return Out;
+}
+
+/// Acc + bias, the bias of output j placed at slot j — repeated every
+/// Period slots when Period is nonzero. No-op for an empty bias.
+Expr addBias(ProgramBuilder &B, Expr Acc, const Tensor &Bias, size_t Period,
+             const TensorScales &Scales) {
+  if (Bias.size() == 0)
+    return Acc;
+  size_t M = B.vecSize();
+  size_t Tile = Period ? Period : M;
+  std::vector<double> BiasVec(M, 0.0);
+  for (size_t K = 0; K < M; ++K)
+    if (K % Tile < Bias.size())
+      BiasVec[K] = Bias.at(K % Tile);
+  return Acc + B.constantVector(BiasVec, Scales.Vector);
+}
+
 } // namespace
 
 CipherTensor eva::conv2d(ProgramBuilder &B, const CipherTensor &In,
@@ -64,6 +103,7 @@ CipherTensor eva::conv2d(ProgramBuilder &B, const CipherTensor &In,
     size_t PadX = SamePad ? Kw / 2 : 0;
 
     CipherLayout Out = L;
+    Out.Period = 0;
     Out.C = Co;
     Out.H = SamePad ? (L.H + Stride - 1) / Stride : (L.H - Kh) / Stride + 1;
     Out.W = SamePad ? (L.W + Stride - 1) / Stride : (L.W - Kw) / Stride + 1;
@@ -153,6 +193,7 @@ CipherTensor eva::avgPool2d(ProgramBuilder &B, const CipherTensor &In,
   return B.inKernel([&]() -> CipherTensor {
     const CipherLayout &L = In.Layout;
     CipherLayout Out = L;
+    Out.Period = 0;
     Out.H = (L.H - K) / Stride + 1;
     Out.W = (L.W - K) / Stride + 1;
     Out.StrideY = L.StrideY * Stride;
@@ -214,8 +255,7 @@ CipherTensor eva::matVecBsgs(ProgramBuilder &B, const CipherTensor &In,
   return B.inKernel([&]() -> CipherTensor {
     const CipherLayout &L = In.Layout;
     size_t NOut = Weights.dims()[0], NIn = Weights.dims()[1];
-    assert(L.GridH == L.H && L.GridW == L.W && L.StrideY == 1 &&
-           L.StrideX == 1 && "BSGS matvec needs a dense layout");
+    assert(isDense(L) && "BSGS matvec needs a dense layout");
     assert(NIn == L.logicalSize() && "dense layer input size mismatch");
     (void)L, (void)NIn; // assert-only in Release
     size_t M = B.vecSize();
@@ -269,32 +309,69 @@ CipherTensor eva::matVecBsgs(ProgramBuilder &B, const CipherTensor &In,
                               : (Inner << static_cast<int32_t>(GJ)));
     }
     assert(Acc.valid() && "dense layer with all-zero weights");
-
-    if (Bias.size() > 0) {
-      std::vector<double> BiasVec(M, 0.0);
-      for (size_t O = 0; O < NOut; ++O)
-        BiasVec[O] = Bias.at(O);
-      Acc = Acc + B.constantVector(BiasVec, Scales.Vector);
-    }
-
-    CipherLayout Out;
-    Out.C = NOut;
-    Out.H = Out.W = 1;
-    Out.GridH = Out.GridW = 1;
-    Out.StrideY = Out.StrideX = 1;
-    return CipherTensor{Acc, Out};
+    return CipherTensor{addBias(B, Acc, Bias, 0, Scales), denseVector(NOut)};
   });
+}
+
+CipherTensor eva::matVecHybrid(ProgramBuilder &B, const CipherTensor &In,
+                               const Tensor &Weights, const Tensor &Bias,
+                               const TensorScales &Scales) {
+  return B.inKernel([&]() -> CipherTensor {
+    size_t NOut = Weights.dims()[0], NIn = Weights.dims()[1];
+    size_t M = B.vecSize();
+    size_t N = hybridPeriod(In.Layout, NOut, M);
+    assert(N != 0 && "hybrid matvec needs a dense periodic input");
+    assert(NIn == In.Layout.logicalSize() && NIn <= N &&
+           "dense layer input size mismatch");
+    (void)NIn; // assert-only in Release
+    size_t MP = paddedRows(NOut);
+
+    // Slot k of rot_i(x) holds x[(k+i) mod N] because x repeats every N
+    // slots, so z = sum_i diag_i o rot_i(x) with
+    //   diag_i[k] = W[k mod MP][(k+i) mod N]   (zero outside Out x In)
+    // holds, in slot k, row k mod MP's products with the columns
+    // congruent to k+i, i < MP. Summing z over the N/MP shifts by multiples
+    // of MP covers every column once: y[k] = (Wx)[k mod MP].
+    RotationCache Rot(B, In.Value);
+    Expr Z;
+    for (size_t I = 0; I < MP; ++I) {
+      std::vector<double> Diag(M, 0.0);
+      for (size_t K = 0; K < M; ++K) {
+        size_t R = K % MP, C = (K + I) % N;
+        if (R < NOut && C < NIn)
+          Diag[K] = Weights.at2(R, C);
+      }
+      if (allZero(Diag))
+        continue;
+      accumulate(Z, Rot.get(static_cast<int64_t>(I)) *
+                        B.constantVector(Diag, Scales.Vector));
+    }
+    assert(Z.valid() && "dense layer with all-zero weights");
+    for (size_t Step = MP; Step < N; Step <<= 1)
+      Z = Z + (Z << static_cast<int32_t>(Step));
+    return CipherTensor{addBias(B, Z, Bias, MP, Scales),
+                        denseVector(NOut, MP)};
+  });
+}
+
+size_t eva::hybridPeriod(const CipherLayout &L, size_t NOut,
+                         size_t VecSize) {
+  if (!isDense(L))
+    return 0;
+  size_t N = L.Period ? L.Period : L.logicalSize() == VecSize ? VecSize : 0;
+  size_t MP = paddedRows(NOut);
+  return N != 0 && MP <= N && N % MP == 0 ? N : 0;
 }
 
 CipherTensor eva::fullyConnected(ProgramBuilder &B, const CipherTensor &In,
                                  const Tensor &Weights, const Tensor &Bias,
                                  const TensorScales &Scales) {
-  // Dense inputs (logical element j at slot j) take the BSGS diagonal
-  // kernel: O(sqrt(M)) hoistable rotations instead of O(Out * log M)
-  // unshared ones.
-  const CipherLayout &Lin = In.Layout;
-  if (Lin.GridH == Lin.H && Lin.GridW == Lin.W && Lin.StrideY == 1 &&
-      Lin.StrideX == 1)
+  // Dense periodic inputs take the hybrid (NOut diagonals instead of
+  // vec_size); other dense inputs take BSGS: O(sqrt(M)) hoistable rotations
+  // instead of the fall-back's O(Out * log M) unshared ones.
+  if (hybridPeriod(In.Layout, Weights.dims()[0], B.vecSize()) != 0)
+    return matVecHybrid(B, In, Weights, Bias, Scales);
+  if (isDense(In.Layout))
     return matVecBsgs(B, In, Weights, Bias, Scales);
 
   return B.inKernel([&]() -> CipherTensor {
@@ -326,20 +403,7 @@ CipherTensor eva::fullyConnected(ProgramBuilder &B, const CipherTensor &In,
       accumulate(Acc, T * B.constantVector(Sel, Scales.Vector));
     }
     assert(Acc.valid() && "dense layer with all-zero weights");
-
-    if (Bias.size() > 0) {
-      std::vector<double> BiasVec(M, 0.0);
-      for (size_t O = 0; O < NOut; ++O)
-        BiasVec[O] = Bias.at(O);
-      Acc = Acc + B.constantVector(BiasVec, Scales.Vector);
-    }
-
-    CipherLayout Out;
-    Out.C = NOut;
-    Out.H = Out.W = 1;
-    Out.GridH = Out.GridW = 1;
-    Out.StrideY = Out.StrideX = 1;
-    return CipherTensor{Acc, Out};
+    return CipherTensor{addBias(B, Acc, Bias, 0, Scales), denseVector(NOut)};
   });
 }
 
@@ -354,6 +418,7 @@ CipherTensor eva::concatChannels(ProgramBuilder &B, const CipherTensor &A,
            LA.H == LB.H && LA.W == LB.W && "concat layout mismatch");
     size_t M = B.vecSize();
     CipherLayout Out = LA;
+    Out.Period = 0;
     Out.C = LA.C + LB.C;
     assert(Out.slotExtent() <= M && "concat result does not fit");
 

@@ -326,16 +326,13 @@ TEST(EndToEnd, ConcurrentRunnersReportExactSoloNtts) {
     Lanes[I].R = std::move(*R);
     Lanes[I].In.set("x", Ones);
   }
-  // The shared lanes get the same ciphertext, sealed up front, so they do
-  // not race on the workspace's encryptor.
-  Ciphertext Sealed = CkksExecutor(*SharedCP, *SharedWS)
-                          .encryptInputs({{"x", Ones}})
-                          .Cipher.at("x");
+  // The shared lanes also encrypt concurrently through the one workspace
+  // encryptor (its sampler is serialized).
   for (size_t I = 2; I < 4; ++I) {
     Expected<std::unique_ptr<Runner>> R = Runner::local(*SharedCP, *SharedWS);
     ASSERT_TRUE(R.ok()) << R.message();
     Lanes[I].R = std::move(*R);
-    Lanes[I].In.set("x", Sealed);
+    Lanes[I].In.set("x", Ones);
   }
   for (Lane &L : Lanes) {
     ASSERT_TRUE(L.R->run(L.In).ok());
@@ -358,6 +355,247 @@ TEST(EndToEnd, ConcurrentRunnersReportExactSoloNtts) {
     for (uint64_t N : Lanes[I].Seen)
       EXPECT_EQ(N, Lanes[I].Solo) << "lane " << I;
   }
+}
+
+TEST(EndToEnd, ConcurrentRunnersEncryptOnOneWorkspace) {
+  // Two runners over one workspace encrypt plain inputs at the same time:
+  // both draw from the workspace encryptor's sampler, which must be
+  // serialized (TSan flagged the unsynchronized RNG here). Each result must
+  // still decrypt to the reference.
+  ProgramBuilder B("square", 64);
+  Expr X = B.inputCipher("x", 30);
+  B.output("out", X * X, 30);
+  Expected<CompiledProgram> CP = compile(B.program());
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 8);
+  ASSERT_TRUE(WS.ok()) << WS.message();
+
+  std::unique_ptr<Runner> Runners[2];
+  std::vector<double> Inputs[2] = {std::vector<double>(64, 0.25),
+                                   std::vector<double>(64, -0.5)};
+  for (std::unique_ptr<Runner> &R : Runners)
+    R = std::move(Runner::local(*CP, *WS).value());
+  std::vector<double> Worst(2, 0.0);
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I < 2; ++I)
+    Threads.emplace_back([&, I] {
+      for (int K = 0; K < 8; ++K) {
+        Expected<Valuation> Out =
+            Runners[I]->run(Valuation().set("x", Inputs[I]));
+        double Want = Inputs[I][0] * Inputs[I][0];
+        for (double V : Out ? Out->vector("out") : std::vector<double>{1e9})
+          Worst[I] = std::max(Worst[I], std::abs(V - Want));
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_LT(Worst[0], 1e-3);
+  EXPECT_LT(Worst[1], 1e-3);
+}
+
+/// y = (x*c1 + (x<<1)*c2 + c3) * 0.5: three vector-constant uses and one
+/// scalar constant.
+std::unique_ptr<Program> buildConstantsProgram() {
+  ProgramBuilder B("consts", 64);
+  Expr X = B.inputCipher("x", 30);
+  std::vector<double> C1(64), C2(64), C3(64);
+  for (size_t I = 0; I < 64; ++I) {
+    C1[I] = 0.01 * static_cast<double>(I);
+    C2[I] = 1.0 - 0.02 * static_cast<double>(I);
+    C3[I] = 0.5 * std::sin(static_cast<double>(I));
+  }
+  Expr Y = X * B.constantVector(C1, 20) + (X << 1) * B.constantVector(C2, 20);
+  B.output("out", (Y + B.constantVector(C3, 20)) * B.constant(0.5, 10), 30);
+  return B.take();
+}
+
+bool sameBits(const std::map<std::string, Ciphertext> &A,
+              const std::map<std::string, Ciphertext> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (const auto &[Name, Ct] : A) {
+    auto It = B.find(Name);
+    if (It == B.end() || It->second.Scale != Ct.Scale ||
+        It->second.Polys.size() != Ct.Polys.size())
+      return false;
+    for (size_t I = 0; I < Ct.Polys.size(); ++I)
+      if (It->second.Polys[I].Comps != Ct.Polys[I].Comps)
+        return false;
+  }
+  return true;
+}
+
+TEST(ConstantCache, FirstRunEncodesEachUseLaterRunsNone) {
+  std::unique_ptr<Program> P = buildConstantsProgram();
+  Expected<CompiledProgram> CP = compile(*P);
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  std::shared_ptr<CkksWorkspace> WS = CkksWorkspace::create(*CP, 21).value();
+  ASSERT_NE(WS->Constants, nullptr);
+
+  CkksExecutor Exec(*CP, WS, 2);
+  SealedInputs Sealed = Exec.encryptInputs(randomInputs(*P, 4));
+  std::map<std::string, Ciphertext> Run1 = Exec.run(Sealed);
+  EXPECT_EQ(Exec.stats().ConstantEncodes, 3u);
+  EXPECT_GT(WS->Constants->bytes(), 0u);
+  EXPECT_LE(WS->Constants->bytes(), ConstantCache::BudgetBytes);
+  std::map<std::string, Ciphertext> Run2 = Exec.run(Sealed);
+  EXPECT_EQ(Exec.stats().ConstantEncodes, 0u);
+
+  // A fresh executor on the workspace finds the cache warm.
+  CkksExecutor Fresh(*CP, WS);
+  std::map<std::string, Ciphertext> Run3 = Fresh.run(Sealed);
+  EXPECT_EQ(Fresh.stats().ConstantEncodes, 0u);
+
+  // An executor built while the workspace has no cache encodes every run.
+  std::shared_ptr<ConstantCache> Saved = std::move(WS->Constants);
+  CkksExecutor Uncached(*CP, WS);
+  WS->Constants = Saved;
+  std::map<std::string, Ciphertext> Run4 = Uncached.run(Sealed);
+  EXPECT_EQ(Uncached.stats().ConstantEncodes, 3u);
+  Uncached.run(Sealed);
+  EXPECT_EQ(Uncached.stats().ConstantEncodes, 3u);
+
+  // Cached and freshly encoded plaintexts are the same bits, so every run
+  // produces the same ciphertext.
+  EXPECT_TRUE(sameBits(Run1, Run2));
+  EXPECT_TRUE(sameBits(Run1, Run3));
+  EXPECT_TRUE(sameBits(Run1, Run4));
+
+  std::map<std::string, std::vector<double>> Want =
+      *ReferenceExecutor(*P).run(randomInputs(*P, 4));
+  std::map<std::string, std::vector<double>> Got;
+  for (const auto &[Name, Ct] : Run2)
+    Got.emplace(Name, Exec.decryptOutput(Ct));
+  EXPECT_LT(maxOutputError(Want, Got), 1e-3);
+}
+
+TEST(ConstantCache, EntriesPastTheBudgetEncodeEveryRun) {
+  // 600 distinct weight vectors at N = 8192 need more than the 64 MiB
+  // budget: the entries that fit are served, the rest encode every run,
+  // and both kinds give the same ciphertext as the first run.
+  constexpr size_t Uses = 600;
+  ProgramBuilder B("wide", 4096);
+  Expr X = B.inputCipher("x", 30);
+  Expr Acc;
+  for (size_t K = 0; K < Uses; ++K) {
+    Expr T = X * B.constantVector(
+                     std::vector<double>(4096, 1e-3 * static_cast<double>(K)),
+                     20);
+    Acc = Acc.valid() ? Acc + T : T;
+  }
+  B.output("out", Acc, 30);
+  Expected<CompiledProgram> CP = compile(B.program());
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  std::shared_ptr<CkksWorkspace> WS = CkksWorkspace::create(*CP, 24).value();
+  CkksExecutor Exec(*CP, WS);
+  SealedInputs Sealed = Exec.encryptInputs(randomInputs(B.program(), 8));
+  std::map<std::string, Ciphertext> Run1 = Exec.run(Sealed);
+  EXPECT_EQ(Exec.stats().ConstantEncodes, Uses);
+  std::map<std::string, Ciphertext> Run2 = Exec.run(Sealed);
+
+  size_t EntryBytes = CP->PolyDegree * WS->Context->dataPrimeCount() * 8;
+  size_t Stored = WS->Constants->bytes() / EntryBytes;
+  EXPECT_LE(WS->Constants->bytes(), ConstantCache::BudgetBytes);
+  EXPECT_GT(WS->Constants->bytes() + EntryBytes, ConstantCache::BudgetBytes);
+  EXPECT_GT(Stored, 0u);
+  EXPECT_LT(Stored, Uses);
+  EXPECT_EQ(Exec.stats().ConstantEncodes, Uses - Stored);
+  EXPECT_TRUE(sameBits(Run1, Run2));
+}
+
+TEST(ConstantCache, ServesOnlyTheProgramItWasBuiltFor) {
+  // The same source compiled twice is two programs: a workspace's cache
+  // must not serve the other one's node ids.
+  std::unique_ptr<Program> P = buildConstantsProgram();
+  Expected<CompiledProgram> CP = compile(*P);
+  Expected<CompiledProgram> Other = compile(*P);
+  ASSERT_TRUE(CP.ok() && Other.ok());
+  std::shared_ptr<CkksWorkspace> WS = CkksWorkspace::create(*CP, 22).value();
+  CkksExecutor Exec(*Other, WS);
+  SealedInputs Sealed = Exec.encryptInputs(randomInputs(*P, 5));
+  for (int Run = 0; Run < 2; ++Run) {
+    Exec.run(Sealed);
+    EXPECT_EQ(Exec.stats().ConstantEncodes, 3u) << "run " << Run;
+  }
+  EXPECT_EQ(WS->Constants->bytes(), 0u);
+}
+
+TEST(ConstantCache, PlainInputVectorsAreNeverCached) {
+  // A plain input changes per run: two runs with different vectors must
+  // each see their own, never a cached encoding of the first.
+  ProgramBuilder B("plainw", 64);
+  Expr X = B.inputCipher("x", 30);
+  Expr W = B.inputPlain("w", 20);
+  B.output("out", X * W + X * B.constantVector(std::vector<double>(64, 0.5), 20),
+           30);
+  Expected<CompiledProgram> CP = compile(B.program());
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  Expected<std::unique_ptr<Runner>> R = Runner::local(std::move(*CP));
+  ASSERT_TRUE(R.ok()) << R.message();
+  for (uint64_t Seed : {31, 32}) {
+    std::map<std::string, std::vector<double>> In =
+        randomInputs(B.program(), Seed);
+    Expected<Valuation> Out =
+        (*R)->run(Valuation().set("x", In.at("x")).set("w", In.at("w")));
+    ASSERT_TRUE(Out.ok()) << Out.message();
+    std::map<std::string, std::vector<double>> Want =
+        *ReferenceExecutor(B.program()).run(In);
+    EXPECT_LT(maxOutputError(Want, {{"out", Out->vector("out")}}), 1e-3)
+        << "seed " << Seed;
+    // Only the 0.5 vector is a constant, encoded on the first run alone.
+    EXPECT_EQ((*R)->executionStats()->ConstantEncodes, Seed == 31 ? 1u : 0u);
+  }
+}
+
+TEST(EndToEnd, ConcurrentRunnersShareOneConstantCache) {
+  // Four evaluation-only workspaces share one cache, as a registered
+  // program's sessions do, and run their first request at the same time:
+  // each entry is encoded exactly once across all of them, and every run
+  // produces the same ciphertext.
+  std::unique_ptr<Program> P = buildConstantsProgram();
+  Expected<CompiledProgram> CP = compile(*P);
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  std::shared_ptr<CkksWorkspace> Client =
+      CkksWorkspace::create(*CP, 23).value();
+  CkksExecutor Sealer(*CP, Client);
+  Ciphertext X = Sealer.encryptInputs(randomInputs(*P, 6)).Cipher.at("x");
+  auto Shared = std::make_shared<ConstantCache>(*CP->Prog, Client->Context);
+
+  constexpr size_t Lanes = 4;
+  std::unique_ptr<Runner> Runners[Lanes];
+  for (std::unique_ptr<Runner> &R : Runners) {
+    std::shared_ptr<CkksWorkspace> WS =
+        CkksWorkspace::createServer(*CP, Client->Context, Client->Rk,
+                                    Client->Gk, Shared)
+            .value();
+    LocalRunnerOptions Opts;
+    Opts.Threads = 2;
+    R = std::move(Runner::local(*CP, WS, Opts).value());
+  }
+  std::map<std::string, Ciphertext> Outs[Lanes][2];
+  size_t Encodes[Lanes][2] = {};
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I < Lanes; ++I)
+    Threads.emplace_back([&, I] {
+      for (int Run = 0; Run < 2; ++Run) {
+        Expected<Valuation> Out = Runners[I]->run(Valuation().set("x", X));
+        if (!Out)
+          continue;
+        Outs[I][Run].emplace("out", std::get<Ciphertext>(*Out->find("out")));
+        Encodes[I][Run] = Runners[I]->executionStats()->ConstantEncodes;
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  size_t FirstRunEncodes = 0;
+  for (size_t I = 0; I < Lanes; ++I) {
+    FirstRunEncodes += Encodes[I][0];
+    EXPECT_EQ(Encodes[I][1], 0u) << "lane " << I;
+    for (int Run = 0; Run < 2; ++Run)
+      EXPECT_TRUE(sameBits(Outs[0][0], Outs[I][Run]))
+          << "lane " << I << " run " << Run;
+  }
+  EXPECT_EQ(FirstRunEncodes, 3u);
 }
 
 TEST(EndToEnd, MemoryReuseBoundsLiveCiphertexts) {

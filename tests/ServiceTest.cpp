@@ -18,7 +18,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "eva/api/Runner.h"
 #include "eva/frontend/Expr.h"
+#include "eva/runtime/ReferenceExecutor.h"
 #include "eva/serialize/CkksIO.h"
 #include "eva/serialize/Wire.h"
 #include "eva/service/Client.h"
@@ -908,6 +910,50 @@ struct ServiceFixture {
         << "got: " << E->Message;
   }
 };
+
+TEST(Service, SessionsOfOneProgramShareItsConstantCache) {
+  // Two tenants (distinct keys) of one registered program: the first
+  // request encodes the program's vector constants into the registered
+  // cache, the second tenant's request finds them there.
+  ProgramBuilder B("weighted", 16);
+  Expr X = B.inputCipher("x", 30);
+  std::vector<double> C1(16), C2(16);
+  for (size_t I = 0; I < 16; ++I) {
+    C1[I] = 0.1 * static_cast<double>(I);
+    C2[I] = 1.0 - 0.05 * static_cast<double>(I);
+  }
+  B.output("out",
+           X * B.constantVector(C1, 20) + (X << 1) * B.constantVector(C2, 20),
+           30);
+  Service Svc;
+  ASSERT_TRUE(Svc.registry().registerSource(B.program()).ok());
+  std::shared_ptr<const RegisteredProgram> Prog =
+      Svc.registry().find("weighted");
+  ASSERT_NE(Prog, nullptr);
+  ASSERT_NE(Prog->Constants, nullptr);
+  InProcessTransport T(Svc);
+  std::unique_ptr<Runner> Tenants[2];
+  for (uint64_t I = 0; I < 2; ++I) {
+    RemoteRunnerOptions RO;
+    RO.KeySeed = 40 + I;
+    Expected<std::unique_ptr<Runner>> R = Runner::remote(T, "weighted", RO);
+    ASSERT_TRUE(R.ok()) << R.message();
+    Tenants[I] = std::move(*R);
+  }
+  std::vector<double> In = randomVector(16, 3);
+  std::map<std::string, std::vector<double>> Want =
+      *ReferenceExecutor(B.program()).run({{"x", In}});
+  const char *Encodes = "eva_exec_constant_encodes_total";
+  for (uint64_t I = 0; I < 2; ++I) {
+    Expected<Valuation> Out = Tenants[I]->run(Valuation().set("x", In));
+    ASSERT_TRUE(Out.ok()) << Out.message();
+    for (size_t K = 0; K < 16; ++K)
+      EXPECT_NEAR(Out->vector("out")[K], Want.at("out")[K], 1e-2);
+    EXPECT_EQ(Svc.metricsSnapshot().counterValue(Encodes), 2u)
+        << "after tenant " << I;
+  }
+  EXPECT_GT(Prog->Constants->bytes(), 0u);
+}
 
 TEST(Service, RejectsUnknownProgramAndSession) {
   ServiceFixture F;

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "eva/ir/Printer.h"
 #include "eva/runtime/CkksExecutor.h"
 #include "eva/runtime/ReferenceExecutor.h"
 #include "eva/tensor/Network.h"
@@ -124,6 +125,99 @@ TEST(FcKernel, MatchesPlainReference) {
   Tensor Want = plain::fullyConnected(Flat, W, Bias);
   for (size_t O = 0; O < 5; ++O)
     EXPECT_NEAR(R.at("out")[O], Want.at(O), 1e-9) << "output " << O;
+  // 32 dense inputs in 64 slots with no period: BSGS, not the hybrid.
+  EXPECT_EQ(hybridPeriod(In.Layout, 5, 64), 0u);
+  EXPECT_EQ(Out.Layout.Period, 0u);
+}
+
+/// A dense-layer stack In -> FC -> (x^2 -> FC)* built on one dense input
+/// of \p VecSize slots, run under the id scheme.
+struct FcStack {
+  std::vector<CipherLayout> Layouts; ///< each FC's output layout
+  std::vector<double> Slots;         ///< the last layer's output vector
+  Tensor Want;                       ///< plain::fullyConnected stack
+  size_t Multiplies = 0;             ///< MULTIPLY nodes the kernels emitted
+};
+
+FcStack runFcStack(size_t VecSize, const CipherLayout &InLayout,
+                   const std::vector<Tensor> &Ws, uint64_t Seed) {
+  RandomSource Rng(Seed);
+  Tensor X = Tensor::random({InLayout.logicalSize()}, Rng);
+  ProgramBuilder B("fcstack", VecSize);
+  TensorScales S;
+  CipherTensor V{B.inputCipher("image", S.Cipher), InLayout};
+  FcStack Out;
+  Out.Want = X;
+  for (size_t I = 0; I < Ws.size(); ++I) {
+    Tensor Bias = Tensor::random({Ws[I].dims()[0]}, Rng, 0.1);
+    if (I > 0) {
+      V = squareActivation(B, V);
+      Out.Want = plain::square(Out.Want);
+    }
+    V = fullyConnected(B, V, Ws[I], Bias, S);
+    Out.Want = plain::fullyConnected(Out.Want, Ws[I], Bias);
+    Out.Layouts.push_back(V.Layout);
+  }
+  B.output("out", V.Value, 30);
+  Out.Multiplies = countOps(B.program(), OpCode::Multiply) - (Ws.size() - 1);
+  std::vector<double> In(VecSize, 0.0);
+  std::copy(X.data().begin(), X.data().end(), In.begin());
+  Out.Slots = ReferenceExecutor(B.program()).run({{"image", In}})->at("out");
+  return Out;
+}
+
+TEST(FcKernel, HybridAtFullVectorWidth) {
+  // 64 inputs fill the 64-slot vector: 8 extended diagonals and a
+  // log2(64/8) = 3 step tree instead of BSGS's 64 diagonals.
+  RandomSource Rng(17);
+  Tensor W = Tensor::random({8, 64}, Rng, 0.5);
+  FcStack R = runFcStack(64, CipherLayout::forImage(1, 8, 8), {W}, 3);
+  EXPECT_EQ(R.Layouts[0].Period, 8u);
+  EXPECT_EQ(R.Multiplies, 8u);
+  // Every slot k holds y[k mod 8]: the output is replicated.
+  for (size_t K = 0; K < 64; ++K)
+    EXPECT_NEAR(R.Slots[K], R.Want.at(K % 8), 1e-9) << "slot " << K;
+}
+
+TEST(FcKernel, HybridConsumesAPeriodicOutput) {
+  // The second layer reads the first's period-16 output: the hybrid again,
+  // over n = 16, with 4 diagonals and a 2-step tree.
+  RandomSource Rng(19);
+  Tensor W1 = Tensor::random({16, 256}, Rng, 0.1);
+  Tensor W2 = Tensor::random({4, 16}, Rng, 0.5);
+  FcStack R = runFcStack(256, CipherLayout::forImage(4, 8, 8), {W1, W2}, 5);
+  EXPECT_EQ(R.Layouts[0].Period, 16u);
+  EXPECT_EQ(R.Layouts[1].Period, 4u);
+  EXPECT_EQ(R.Multiplies, 16u + 4u);
+  for (size_t K = 0; K < 256; ++K)
+    EXPECT_NEAR(R.Slots[K], R.Want.at(K % 4), 1e-9) << "slot " << K;
+}
+
+TEST(FcKernel, HybridPadsRowsThatDoNotDivideThePeriod) {
+  // 5 rows pad to 8, 3 rows to 4; the padded rows come out zero.
+  RandomSource Rng(23);
+  Tensor W1 = Tensor::random({5, 128}, Rng, 0.2);
+  Tensor W2 = Tensor::random({3, 5}, Rng, 0.5);
+  FcStack R = runFcStack(128, CipherLayout::forImage(2, 8, 8), {W1, W2}, 7);
+  EXPECT_EQ(R.Layouts[0].Period, 8u);
+  EXPECT_EQ(R.Layouts[1].Period, 4u);
+  EXPECT_EQ(R.Multiplies, 8u + 4u);
+  for (size_t K = 0; K < 128; ++K)
+    EXPECT_NEAR(R.Slots[K], K % 4 < 3 ? R.Want.at(K % 4) : 0.0, 1e-9)
+        << "slot " << K;
+}
+
+TEST(FcKernel, WideLayerOnAPeriodicInputTakesBsgs) {
+  // 12 rows pad to 16, which does not divide the period 8: BSGS reads the
+  // periodic vector as a dense one (columns past 5 carry zero weight).
+  RandomSource Rng(29);
+  Tensor W1 = Tensor::random({5, 64}, Rng, 0.2);
+  Tensor W2 = Tensor::random({12, 5}, Rng, 0.5);
+  FcStack R = runFcStack(64, CipherLayout::forImage(1, 8, 8), {W1, W2}, 9);
+  EXPECT_EQ(hybridPeriod(R.Layouts[0], 12, 64), 0u);
+  EXPECT_EQ(R.Layouts[1].Period, 0u);
+  for (size_t K = 0; K < 12; ++K)
+    EXPECT_NEAR(R.Slots[K], R.Want.at(K), 1e-9) << "output " << K;
 }
 
 TEST(FcKernel, HandlesStridedInputLayout) {

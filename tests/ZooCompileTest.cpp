@@ -122,6 +122,30 @@ TEST_P(ZooCompile, CompiledProgramMatchesPlainInferenceUnderIdScheme) {
         << "class " << C;
 }
 
+// The dense-layer dispatch (hybrid, BSGS, strided fall-back) must leave
+// every zoo network's program as it was before the hybrid existed: none of
+// their FC layers reads a full-width or periodic input. Pinned source and
+// compiled node counts and Galois-key counts (seed 2024, EVA mode).
+TEST_P(ZooCompile, KeepsPinnedProgramShape) {
+  struct Shape {
+    size_t SourceNodes, CompiledNodes, RotationSteps;
+  };
+  const Shape Pins[] = {{1799, 1810, 191},
+                        {6142, 6153, 542},
+                        {13279, 13290, 999},
+                        {6703, 6731, 711},
+                        {1946, 2080, 189}};
+  NetworkDefinition Net = makeAllNetworks(2024)[GetParam()];
+  SCOPED_TRACE(Net.name());
+  std::unique_ptr<Program> P = Net.buildProgram(TensorScales());
+  Expected<CompiledProgram> CP = compile(*P, CompilerOptions::eva());
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  const Shape &Want = Pins[GetParam()];
+  EXPECT_EQ(P->nodeCount(), Want.SourceNodes);
+  EXPECT_EQ(CP->Prog->nodeCount(), Want.CompiledNodes);
+  EXPECT_EQ(CP->RotationSteps.size(), Want.RotationSteps);
+}
+
 // Kept out of the macro: a lambda body's commas would be split into separate
 // macro arguments (braces, unlike parentheses, do not group for the
 // preprocessor).
