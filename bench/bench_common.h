@@ -168,6 +168,9 @@ struct BenchResult {
   /// the compiled program's Galois-key count; 0 omits each field.
   double PlainMultiplies = 0;
   double GaloisKeys = 0;
+  /// Evaluator NTTs of one operation (EvaluatorCounters::Ntts); 0 omits
+  /// the field.
+  double Ntts = 0;
 };
 
 /// Samples \p Fn — a callable reporting its own per-iteration duration in
@@ -305,6 +308,10 @@ public:
       if (R.GaloisKeys > 0) {
         std::snprintf(Buf, sizeof(Buf), ", \"galois_keys\": %.0f",
                       R.GaloisKeys);
+        Out += Buf;
+      }
+      if (R.Ntts > 0) {
+        std::snprintf(Buf, sizeof(Buf), ", \"ntts\": %.0f", R.Ntts);
         Out += Buf;
       }
       Out += I + 1 == Results.size() ? "}\n" : "},\n";

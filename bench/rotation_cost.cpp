@@ -20,11 +20,14 @@
 //      width): the GAZELLE hybrid against BSGS — plaintext multiplies,
 //      decompositions and Galois keys per row, the inputs a layout
 //      autotuner would cost.
+//   5. NTTs per rotation: one rotateLeft at N = 8192 over L = 3 data primes,
+//      timed, with its evaluator NTT count.
 //
 // The binary exits nonzero if any correctness gate (bit identity,
 // reference closeness, the >= 30% decomposition drop, budget shrinking the
-// upload, the hybrid cutting plaintext multiplies) fails, so CI can run it
-// as both a bench and a check.
+// upload, the hybrid cutting plaintext multiplies, the rotation's NTT count
+// equal to its closed form) fails, so CI can run it as both a bench and a
+// check.
 //
 // Usage: rotation_cost [output-dir]        (default: current directory)
 //
@@ -32,6 +35,10 @@
 
 #include "bench_common.h"
 
+#include "eva/ckks/Encoder.h"
+#include "eva/ckks/Encryptor.h"
+#include "eva/ckks/Evaluator.h"
+#include "eva/ckks/KeyGenerator.h"
 #include "eva/runtime/ReferenceExecutor.h"
 #include "eva/serialize/CkksIO.h"
 #include "eva/support/Random.h"
@@ -379,6 +386,39 @@ int main(int argc, char **argv) {
     check(PlainMuls[1] < PlainMuls[0],
           "hybrid cuts plaintext multiplies at " + std::to_string(Rows) + "x" +
               std::to_string(Cols));
+  }
+
+  //===--------------------------------------------------------------------===
+  // 5. NTTs per rotation at N = 8192, L = 3.
+  //===--------------------------------------------------------------------===
+  std::printf("ntts per rotation (N=8192, L=3)\n");
+  {
+    const uint64_t N = 8192, L = 3;
+    std::shared_ptr<CkksContext> Ctx =
+        CkksContext::createFromBitSizes(N, {60, 40, 40, 60}).value();
+    KeyGenerator Gen(Ctx, 1234);
+    GaloisKeys Gk = Gen.createGaloisKeys({1});
+    Plaintext Pt;
+    CkksEncoder(Ctx).encode(std::vector<double>(Ctx->slotCount(), 0.25),
+                            std::ldexp(1.0, 40), L, Pt);
+    Ciphertext Ct = Encryptor(Ctx, Gen.createPublicKey(), 7).encrypt(Pt);
+    Evaluator Eval(Ctx);
+    Eval.resetCounters();
+    (void)Eval.rotateLeft(Ct, 1, Gk);
+    uint64_t Ntts = Eval.counters().Ntts;
+    // Decompose (L inverse), extend each digit to the other L - 1 data
+    // primes and the special prime (L^2 forward), and two mod-downs by the
+    // special prime (L + 1 each); the automorphism itself is a gather.
+    uint64_t Want = L + L * L + 2 * (L + 1);
+    check(Ntts == Want, "rotateLeft runs " + std::to_string(Ntts) +
+                            " NTTs, the closed form L + L^2 + 2(L+1) = " +
+                            std::to_string(Want));
+    BenchResult R = measure("ntts_per_rotation",
+                            [&] { (void)Eval.rotateLeft(Ct, 1, Gk); });
+    R.Ntts = static_cast<double>(Ntts);
+    report(R);
+    std::printf("    ntts=%llu\n", static_cast<unsigned long long>(Ntts));
+    Report.add(std::move(R));
   }
 
   std::string Path = OutDir + "/BENCH_rotation.json";

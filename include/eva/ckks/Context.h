@@ -6,12 +6,13 @@
 ///
 /// \file
 /// Owns the validated encryption parameters and every precomputed table the
-/// scheme needs: per-prime NTT tables, per-level CRT composers for decoding,
-/// and the inverse-prime constants used by rescaling and key-switch
-/// mod-down. The last prime in the chain is the key-switching "special
-/// prime" (consumed during encryption in the paper's parameter-selection
-/// pass, Section 6.2); the primes before it are the data chain that RESCALE
-/// and MODSWITCH consume back-to-front.
+/// scheme needs: per-prime NTT tables, the bit-reversal of the NTT slot
+/// order (Galois automorphisms), per-level CRT composers for decoding, and
+/// the inverse-prime constants used by rescaling and key-switch mod-down.
+/// The last prime in the chain is the key-switching "special prime"
+/// (consumed during encryption in the paper's parameter-selection pass,
+/// Section 6.2); the primes before it are the data chain that RESCALE and
+/// MODSWITCH consume back-to-front.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,7 @@
 #include "eva/support/Error.h"
 
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace eva {
@@ -61,6 +63,9 @@ public:
 
   const Modulus &prime(size_t I) const { return Primes[I]; }
   const NttTables &ntt(size_t I) const { return *Ntt[I]; }
+  /// Entry J reverses the low log2 N bits of J: NTT slot J of every prime
+  /// holds the evaluation at psi^(2 * bitReversal()[J] + 1).
+  std::span<const uint32_t> bitReversal() const { return BitRev; }
   SecurityLevel securityLevel() const { return Security; }
   int totalModulusBits() const { return TotalBits; }
 
@@ -84,6 +89,7 @@ private:
   int TotalBits = 0;
   std::vector<Modulus> Primes;
   std::vector<std::unique_ptr<NttTables>> Ntt;
+  std::vector<uint32_t> BitRev;
   std::vector<CrtComposer> Composers; // [count-1] -> first `count` primes
   std::vector<std::vector<ShoupMul>> InvPrime;
 };

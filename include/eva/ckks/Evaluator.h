@@ -39,6 +39,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace eva {
@@ -57,8 +58,9 @@ struct EvaluatorCounters {
   uint64_t HoistedRotations = 0;        ///< rotations served from a shared decomposition
   uint64_t HoistBatches = 0;            ///< rotateHoisted batches executed
   /// Forward + inverse NTTs the evaluator ran (key-switch decompose and
-  /// accumulate, rescale mod-down, Galois automorphisms). Plaintext-operand
-  /// encoding (CkksEncoder) is not evaluator work and is not counted.
+  /// accumulate, rescale mod-down; Galois automorphisms permute NTT slots
+  /// and run none). Plaintext-operand encoding (CkksEncoder) is not
+  /// evaluator work and is not counted.
   /// Exact and per evaluator, so concurrent runs on separate evaluators
   /// never mix; modular-multiply totals follow from it and the op counts
   /// (N/2 * log2 N per NTT plus N per pointwise limb product).
@@ -117,11 +119,11 @@ public:
   /// of \p A's c1 component ONCE — the per-limb inverse NTTs that dominate
   /// each rotation's fixed cost — and applies every Galois automorphism in
   /// \p Steps against the shared coefficient-domain digits. Because the
-  /// automorphism is applied to exactly the digits the serial path would
-  /// recover (an NTT round trip is exact), each output is bit-identical to
-  /// rotateLeft(A, Steps[K], Keys). A zero step returns a copy of \p A;
-  /// duplicate steps each get their own output. Limb work runs on the
-  /// evaluator's ThreadPool when one is attached.
+  /// automorphism commutes with the exact NTT, the permuted digits are
+  /// exactly the ones the serial path decomposes, so each output is
+  /// bit-identical to rotateLeft(A, Steps[K], Keys). A zero step returns a
+  /// copy of \p A; duplicate steps each get their own output. Limb work
+  /// runs on the evaluator's ThreadPool when one is attached.
   std::vector<Ciphertext> rotateHoisted(const Ciphertext &A,
                                         const std::vector<uint64_t> &Steps,
                                         const GaloisKeys &Keys) const;
@@ -140,9 +142,14 @@ private:
 
   /// The inner-product half of key switching: extends each digit to every
   /// output prime (+ the special prime), accumulates against \p Key, and
-  /// divides the special prime back out.
+  /// divides the special prime back out. Digit I at its own prime q_I is
+  /// the NTT-form limb I of the key-switched polynomial, read from
+  /// \p Target (gathered through \p TargetIndex, a galoisNttIndex, when
+  /// the digits are an automorphism of Target's) instead of re-transformed.
   std::array<RnsPoly, 2>
   keySwitchAccumulate(const std::vector<std::vector<uint64_t>> &Digits,
+                      const RnsPoly &Target,
+                      std::span<const uint64_t> TargetIndex,
                       const KSwitchKey &Key) const;
 
   /// Assembles the rotated ciphertext from the automorphed c0 and the

@@ -67,6 +67,10 @@ CkksContext::create(const EncryptionParameters &Parms,
     Ctx->Primes.emplace_back(P);
   for (const Modulus &Q : Ctx->Primes)
     Ctx->Ntt.push_back(std::make_unique<NttTables>(Parms.PolyDegree, Q));
+  unsigned LogN = log2Exact(Parms.PolyDegree);
+  Ctx->BitRev.resize(Parms.PolyDegree);
+  for (uint64_t J = 0; J < Parms.PolyDegree; ++J)
+    Ctx->BitRev[J] = static_cast<uint32_t>(reverseBits(J, LogN));
 
   size_t DataCount = Ctx->Primes.size() - 1;
   for (size_t Count = 1; Count <= DataCount; ++Count)

@@ -191,12 +191,13 @@ Evaluator::keySwitchDecompose(const RnsPoly &Target) const {
 }
 
 std::array<RnsPoly, 2> Evaluator::keySwitchAccumulate(
-    const std::vector<std::vector<uint64_t>> &TCoeff,
-    const KSwitchKey &Key) const {
+    const std::vector<std::vector<uint64_t>> &TCoeff, const RnsPoly &Target,
+    std::span<const uint64_t> TargetIndex, const KSwitchKey &Key) const {
   size_t Count = TCoeff.size();
   size_t SpecialIdx = Ctx->specialPrimeIndex();
   uint64_t N = Ctx->polyDegree();
   assert(Count <= Key.Keys.size() && "not enough key components");
+  assert(Target.primeCount() == Count && "digits do not match the target");
 
   // Output prime indices: current data primes plus the special prime.
   // evalint: allow(heap-in-hot-path): two index vectors of size limb-count
@@ -223,14 +224,18 @@ std::array<RnsPoly, 2> Evaluator::keySwitchAccumulate(
     LimbScratch Lo1 = acquireLimbScratchZeroed(N);
     LimbScratch Hi1 = acquireLimbScratchZeroed(N);
     for (size_t I = 0; I < Count; ++I) {
-      if (PrimeIdx == I)
-        std::copy_n(TCoeff[I].data(), N, Tmp.data()); // already reduced
-      else
+      const uint64_t *Digit = Tmp.data();
+      if (PrimeIdx != I) {
         reducePolyComp(TCoeff[I], Tmp.span(), Qr);
-      Ctx->ntt(PrimeIdx).forward(Tmp.span());
+        Ctx->ntt(PrimeIdx).forward(Tmp.span());
+      } else if (TargetIndex.empty()) {
+        Digit = Target.Comps[I].data(); // digit I at q_I is the target limb
+      } else {
+        applyGaloisNttComp(Target.Comps[I], Tmp.span(), TargetIndex);
+      }
       const std::vector<uint64_t> &K0 = Key.Keys[I][0].Comps[PrimeIdx];
       const std::vector<uint64_t> &K1 = Key.Keys[I][1].Comps[PrimeIdx];
-      simd::fusedMulAcc128(Tmp.data(), K0.data(), K1.data(), Lo0.data(),
+      simd::fusedMulAcc128(Digit, K0.data(), K1.data(), Lo0.data(),
                            Hi0.data(), Lo1.data(), Hi1.data(), N);
     }
     for (uint64_t X = 0; X < N; ++X) {
@@ -240,8 +245,8 @@ std::array<RnsPoly, 2> Evaluator::keySwitchAccumulate(
           Qr.reduce128((Uint128(Hi1[X]) << 64) | Lo1[X]);
     }
   });
-  // Every digit went forward once at every output prime.
-  NumNtts.fetch_add(OutIdx.size() * Count, std::memory_order_relaxed);
+  // Every digit went forward once at every output prime but its own.
+  NumNtts.fetch_add(Count * Count, std::memory_order_relaxed);
 
   // Divide by the special prime (rounding) to return to the data chain.
   std::vector<size_t> DownIdx = OutIdx;
@@ -252,7 +257,7 @@ std::array<RnsPoly, 2> Evaluator::keySwitchAccumulate(
 
 std::array<RnsPoly, 2> Evaluator::keySwitch(const RnsPoly &Target,
                                             const KSwitchKey &Key) const {
-  return keySwitchAccumulate(keySwitchDecompose(Target), Key);
+  return keySwitchAccumulate(keySwitchDecompose(Target), Target, {}, Key);
 }
 
 void Evaluator::divideRoundDropLast(
@@ -363,12 +368,11 @@ Ciphertext Evaluator::rotateLeft(const Ciphertext &A, uint64_t Steps,
     fatalError("missing Galois key for rotation by " + std::to_string(Steps) +
                " (the compiler's rotation-selection pass must request it)");
 
-  RnsPoly C0 = applyGaloisNttPoly(*Ctx, A.Polys[0], G,
-                                  /*SpansSpecialPrime=*/false, Pool);
-  RnsPoly C1 = applyGaloisNttPoly(*Ctx, A.Polys[1], G,
-                                  /*SpansSpecialPrime=*/false, Pool);
-  // Two automorphisms, each round-tripping every limb (inverse + forward).
-  NumNtts.fetch_add(4 * A.primeCount(), std::memory_order_relaxed);
+  // The automorphism permutes NTT slots, so it costs no transform.
+  LimbScratch Index = acquireLimbScratch(Ctx->polyDegree());
+  galoisNttIndex(*Ctx, G, Index.span());
+  RnsPoly C0 = applyGaloisNttPoly(A.Polys[0], Index.span());
+  RnsPoly C1 = applyGaloisNttPoly(A.Polys[1], Index.span());
   std::array<RnsPoly, 2> Ks = keySwitch(C1, Keys.at(G));
   NumRotations.fetch_add(1, std::memory_order_relaxed);
   return assembleRotation(std::move(C0), std::move(Ks), A.Scale);
@@ -384,17 +388,17 @@ Evaluator::rotateHoisted(const Ciphertext &A,
     return Out;
 
   // One shared decomposition for the whole batch. The serial path's digits
-  // for rotation g are galois_g(invNTT(c1_i)) — applyGaloisNttPoly permutes
-  // in coefficient form and the executor's keySwitch immediately inverts
-  // the forward NTT it applied, both exactly. Permuting these shared digits
-  // therefore reproduces the serial digits bit for bit; only the redundant
-  // NTT round trips are skipped.
+  // for rotation g are invNTT(galois_g(c1)) = galois_g(invNTT(c1)): the
+  // automorphism commutes with the exact transform, so permuting the shared
+  // coefficient-form digits reproduces the serial digits bit for bit, and
+  // each digit's own limb is the NTT-slot gather of c1's.
   size_t Count = A.primeCount();
   uint64_t N = Ctx->polyDegree();
   std::vector<std::vector<uint64_t>> Digits = keySwitchDecompose(A.Polys[1]);
   NumHoistBatches.fetch_add(1, std::memory_order_relaxed);
 
   std::vector<std::vector<uint64_t>> Permuted(Count);
+  LimbScratch Index = acquireLimbScratch(N);
   for (size_t K = 0; K < Steps.size(); ++K) {
     uint64_t S = Steps[K];
     if (S == 0) { // identity rotation: the compiler normalizes these away,
@@ -410,14 +414,14 @@ Evaluator::rotateHoisted(const Ciphertext &A,
       fatalError("missing Galois key for hoisted rotation by " +
                  std::to_string(S));
 
-    RnsPoly C0 = applyGaloisNttPoly(*Ctx, A.Polys[0], G,
-                                    /*SpansSpecialPrime=*/false, Pool);
-    NumNtts.fetch_add(2 * Count, std::memory_order_relaxed);
+    galoisNttIndex(*Ctx, G, Index.span());
+    RnsPoly C0 = applyGaloisNttPoly(A.Polys[0], Index.span());
     forEachLimb(Count, [&](size_t I) {
       Permuted[I].resize(N);
       applyGaloisComp(Digits[I], Permuted[I], G, N, Ctx->prime(I));
     });
-    std::array<RnsPoly, 2> Ks = keySwitchAccumulate(Permuted, Keys.at(G));
+    std::array<RnsPoly, 2> Ks =
+        keySwitchAccumulate(Permuted, A.Polys[1], Index.span(), Keys.at(G));
     Out[K] = assembleRotation(std::move(C0), std::move(Ks), A.Scale);
     NumRotations.fetch_add(1, std::memory_order_relaxed);
     NumHoistedRotations.fetch_add(1, std::memory_order_relaxed);

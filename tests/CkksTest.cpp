@@ -12,6 +12,7 @@
 #include "eva/ckks/Galois.h"
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/math/Primes.h"
+#include "eva/math/Simd.h"
 #include "eva/support/Arena.h"
 #include "eva/support/Random.h"
 
@@ -370,23 +371,22 @@ TEST_F(CkksFixture, RotateHoistedMatchesCyclicShiftAtLowerLevel) {
 }
 
 // NTT counts per op at L data primes. Key switching extends every digit to
-// the special prime as well, so its accumulate phase runs over L + 1 primes.
+// the special prime as well, so its accumulate phase runs over L + 1 primes;
+// a digit's own prime reuses the NTT-form limb it came from. Galois
+// automorphisms permute NTT slots and run no transform.
 uint64_t decomposeNtts(uint64_t L) { return L; } // one inverse per digit
 uint64_t accumulateNtts(uint64_t L) {
-  return L * (L + 1)    // every digit forward at every output prime
+  return L * L          // every digit forward at every other output prime
          + 2 * (L + 1); // two mod-downs by the special prime
 }
 uint64_t keySwitchNtts(uint64_t L) {
   return decomposeNtts(L) + accumulateNtts(L);
 }
 uint64_t rescaleNtts(uint64_t L) { return 2 * L; } // one mod-down per poly
-uint64_t rotateNtts(uint64_t L) {
-  return 4 * L + keySwitchNtts(L); // two automorphisms (c0, c1) + key switch
-}
+uint64_t rotateNtts(uint64_t L) { return keySwitchNtts(L); }
 uint64_t hoistedNtts(uint64_t L, uint64_t S) {
-  // One shared decomposition; per rotation, the c0 automorphism and an
-  // accumulate phase.
-  return decomposeNtts(L) + S * (2 * L + accumulateNtts(L));
+  // One shared decomposition; per rotation, an accumulate phase.
+  return decomposeNtts(L) + S * accumulateNtts(L);
 }
 
 TEST_F(CkksFixture, NttCountsMatchClosedForms) {
@@ -453,6 +453,113 @@ TEST(Galois, EltFromStepMatchesPowersOfFive) {
   EXPECT_EQ(galoisEltFromStep(1, 2048), 5u);
   EXPECT_EQ(galoisEltFromStep(2, 2048), 25u);
   EXPECT_EQ(galoisEltFromStep(3, 2048), 125u);
+}
+
+/// 5^Steps mod 2N by the definition: Steps repeated multiplies.
+uint64_t eltByRepeatedMultiply(uint64_t Steps, uint64_t N) {
+  uint64_t G = 1;
+  for (uint64_t I = 0; I < Steps; ++I)
+    G = (G * 5) % (2 * N);
+  return G;
+}
+
+TEST(Galois, EltFromStepMatchesRepeatedMultiply) {
+  for (uint64_t S = 1; S < 1024; ++S)
+    ASSERT_EQ(galoisEltFromStep(S, 2048), eltByRepeatedMultiply(S, 2048))
+        << "N=2048 step " << S;
+  for (uint64_t S : {1u, 2u, 3u, 255u, 256u, 1000u, 4095u, 4096u, 5461u,
+                     8191u})
+    ASSERT_EQ(galoisEltFromStep(S, 16384), eltByRepeatedMultiply(S, 16384))
+        << "N=16384 step " << S;
+}
+
+TEST(Galois, ApplyGaloisCompMatchesModularDefinition) {
+  const uint64_t N = 2048;
+  Modulus Q(1032193);
+  RandomSource Rng(47);
+  std::vector<uint64_t> In(N), Out(N), Want(N);
+  for (uint64_t &V : In)
+    V = Rng.uniformBelow(Q.value());
+  for (uint64_t G : {galoisEltFromStep(1, N), galoisEltFromStep(700, N),
+                     2 * N - 1}) {
+    for (uint64_t I = 0; I < N; ++I) {
+      uint64_t J = (I * G) % (2 * N);
+      if (J >= N)
+        Want[J - N] = negateMod(In[I], Q);
+      else
+        Want[J] = In[I];
+    }
+    applyGaloisComp(In, Out, G, N, Q);
+    EXPECT_EQ(Out, Want) << "g=" << G;
+  }
+}
+
+/// The automorphism through coefficient form: per limb, inverse NTT,
+/// permute coefficients, forward NTT. The oracle for the NTT-slot gather.
+RnsPoly galoisByRoundTrip(const CkksContext &Ctx, const RnsPoly &Poly,
+                          uint64_t G) {
+  RnsPoly Out(Poly.Degree, Poly.primeCount());
+  for (size_t I = 0; I < Poly.primeCount(); ++I) {
+    std::vector<uint64_t> Coeffs = Poly.Comps[I];
+    Ctx.ntt(I).inverse(Coeffs);
+    applyGaloisComp(Coeffs, Out.Comps[I], G, Poly.Degree, Ctx.prime(I));
+    Ctx.ntt(I).forward(Out.Comps[I]);
+  }
+  return Out;
+}
+
+/// Pins the NTT dispatch level for a scope.
+class ScopedSimdLevel {
+public:
+  explicit ScopedSimdLevel(SimdLevel L) : Saved(activeSimdLevel()) {
+    setSimdLevelForTesting(L);
+  }
+  ~ScopedSimdLevel() { setSimdLevelForTesting(Saved); }
+
+private:
+  SimdLevel Saved;
+};
+
+TEST(Galois, NttSlotPermutationMatchesRoundTrip) {
+  std::vector<SimdLevel> Levels = {SimdLevel::Scalar};
+  if (avx2Available())
+    Levels.push_back(SimdLevel::Avx2);
+  RandomSource Rng(53);
+  for (uint64_t N : {uint64_t(2048), uint64_t(8192)}) {
+    std::shared_ptr<CkksContext> Ctx = makeContext(N, {50, 40, 40, 50});
+    // Every step at N = 2048; a spread of steps at N = 8192. Plus the
+    // conjugation element 2N - 1, which no step produces.
+    std::vector<uint64_t> Elts = {2 * N - 1};
+    if (N == 2048) {
+      for (uint64_t S = 1; S < N / 2; ++S)
+        Elts.push_back(galoisEltFromStep(S, N));
+    } else {
+      for (uint64_t S : {1u, 2u, 3u, 5u, 37u, 255u, 256u, 1000u, 2047u,
+                         2048u, 3001u, 4095u})
+        Elts.push_back(galoisEltFromStep(S, N));
+    }
+    // Data-only polynomials (full chain and one level down) and a key-style
+    // polynomial spanning the special prime.
+    for (size_t Count : {Ctx->dataPrimeCount(), Ctx->dataPrimeCount() - 1,
+                         Ctx->totalPrimeCount()}) {
+      bool Special = Count == Ctx->totalPrimeCount();
+      RnsPoly Poly(N, Count);
+      for (size_t I = 0; I < Count; ++I)
+        for (uint64_t &V : Poly.Comps[I])
+          V = Rng.uniformBelow(Ctx->prime(I).value());
+      for (SimdLevel L : Levels) {
+        ScopedSimdLevel Pin(L);
+        for (uint64_t G : Elts) {
+          RnsPoly Got = applyGaloisNttPoly(*Ctx, Poly, G, Special);
+          RnsPoly Want = galoisByRoundTrip(*Ctx, Poly, G);
+          for (size_t I = 0; I < Count; ++I)
+            ASSERT_EQ(Got.Comps[I], Want.Comps[I])
+                << "N=" << N << " limbs=" << Count << " limb " << I
+                << " g=" << G << " simd=" << simdLevelName(L);
+        }
+      }
+    }
+  }
 }
 
 TEST(Galois, ApplyGaloisCompPermutesWithSign) {
